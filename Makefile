@@ -28,7 +28,7 @@ specs-verify:
 	$(GO) run ./cmd/specgen -check-builtin
 	GOFLAGS=-count=1 $(GO) test -run 'Registry|Spec|Arch|DefineArch' ./internal/platform ./internal/isa
 
-# Local/remote backend equivalence: the lab protocol v2 suite and the
+# Local/remote backend equivalence: the lab protocol suite and the
 # Backend interface tests, which drive every command's measurement path
 # against an in-process labtarget (including through the chaos proxy) and
 # require bit-identical output to a local bench.
@@ -65,11 +65,11 @@ race: tier1 chaos
 vet:
 	$(GO) vet ./...
 
-# Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra, fitness
-# and lineage evaluation), recorded as $(BENCH_OUT) for regression diffing:
+# Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra and
+# fitness evaluation), recorded as $(BENCH_OUT) for regression diffing:
 #   make bench BENCH_OUT=BENCH_pr5.json
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkLineage|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart' \
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart' \
 		-benchmem -benchtime 1s -run '^$$' . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Diff two benchmark reports; exits nonzero if any benchmark present in
@@ -90,7 +90,7 @@ bench-compare:
 # but not compared.
 perf-gate:
 	$(MAKE) bench BENCH_OUT=BENCH_head.json
-	$(MAKE) bench-compare OLD=BENCH_pr8.json NEW=BENCH_head.json
+	$(MAKE) bench-compare OLD=BENCH_pr9.json NEW=BENCH_head.json
 
 # Hammers the persistent store's concurrent surface (mixed Put/Get/Do under
 # GC pressure, singleflight, cross-handle sharing) repeatedly under the

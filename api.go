@@ -272,7 +272,7 @@ type (
 	// RemoteBackend speaks the lab protocol to a labtarget daemon.
 	RemoteBackend = backend.Remote
 	// BackendCaps is a domain's capability record (cores, ISA, clock grid,
-	// voltage visibility, DSO kind, lineage support).
+	// voltage visibility, DSO kind).
 	BackendCaps = backend.Caps
 	// BackendDomainState is a domain's current operating point.
 	BackendDomainState = backend.DomainState
@@ -297,7 +297,7 @@ const (
 func NewLocalBackend(b *Bench) (*LocalBackend, error) { return backend.NewLocal(b) }
 
 // NewRemoteBackend dials a labtarget daemon with a pool of `jobs`
-// sessions, negotiating the protocol version.
+// sessions and refuses a daemon of another protocol version.
 func NewRemoteBackend(addr string, jobs int, opts LabOptions) (*RemoteBackend, error) {
 	return backend.NewRemote(addr, jobs, opts)
 }

@@ -123,15 +123,11 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	m := bench.EMMeasurer(d, 2)
 
 	prevTC := uarch.SetTraceCacheEnabled(true)
-	prevCk := uarch.SetCheckpointsEnabled(true)
 	t.Cleanup(func() {
 		uarch.SetTraceCacheEnabled(prevTC)
-		uarch.SetCheckpointsEnabled(prevCk)
 		uarch.ResetTraceCache()
-		uarch.ResetCheckpointStore()
 	})
 	uarch.ResetTraceCache()
-	uarch.ResetCheckpointStore()
 
 	// Prime every cache layer, then time warm repeats.
 	if _, _, err := m.Measure(seq); err != nil {
@@ -143,9 +139,7 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	// Cold repeats: simulation caches off, spectra memo defeated by a
 	// per-repeat supply nudge (the memo key includes the supply).
 	uarch.SetTraceCacheEnabled(false)
-	uarch.SetCheckpointsEnabled(false)
 	uarch.ResetTraceCache()
-	uarch.ResetCheckpointStore()
 	vnom := d.SupplyVolts()
 	cold := medianRepeatMeasure(t, m, seq, k, func(i int) {
 		if err := d.SetSupplyVolts(vnom - float64(i+1)*1e-7); err != nil {

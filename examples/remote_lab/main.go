@@ -95,8 +95,9 @@ func main() {
 	defer remote.Close()
 	remote.Samples = 5
 
-	fmt.Printf("connected to %s (protocol v%d, domains %v)\n",
-		remote.PlatformName(), remote.ProtocolVersion(), remote.Domains())
+	// NewRemoteBackend has already checked that the daemon speaks this
+	// tree's protocol version; a mismatched daemon fails there.
+	fmt.Printf("connected to %s (domains %v)\n", remote.PlatformName(), remote.Domains())
 
 	// Capability negotiation: the daemon advertises what each domain can
 	// measure, so impossible requests fail up front with a typed error

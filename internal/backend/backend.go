@@ -61,10 +61,6 @@ type Caps struct {
 	// DSOKind names the scope the visibility implies ("oc-dso",
 	// "bench-scope") or is empty when there is none.
 	DSOKind string
-	// Lineage reports whether em measurers support checkpoint-resume
-	// evaluation (ga.LineageMeasurer). True locally; false over the wire,
-	// where checkpoints cannot leave the target process.
-	Lineage bool
 }
 
 // Pool returns the ISA instruction pool matching the domain's
@@ -156,9 +152,7 @@ type Backend interface {
 	// SweepPoint measures one fast-sweep point at an explicit clock
 	// setting without touching the domain's live clock (nil point, nil
 	// error = the probe loop is out of band at that clock). Fleet
-	// coordinators shard core.SweepClockSteps over this; a pre-v3 remote
-	// daemon lacks the verb and returns an error (see Remote.
-	// SweepPointCapable for the placement-time check).
+	// coordinators shard core.SweepClockSteps over this.
 	SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error)
 	// MonitorAll captures one spectrum with every given domain's load
 	// emitting simultaneously (Figure 15).

@@ -1,9 +1,13 @@
 package backend_test
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,6 +80,75 @@ func backends(t *testing.T, jobs int) (*backend.Local, *backend.Remote) {
 	return local, remote
 }
 
+// fakeDaemon answers every HELLO with the given reply line and QUIT with
+// "OK bye", and counts the sessions still open, so a test can check that a
+// refused handshake leaves no pooled connection behind.
+func fakeDaemon(t *testing.T, helloReply string) (addr string, open func() int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	var live atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			live.Add(1)
+			go func() {
+				defer live.Add(-1)
+				defer conn.Close()
+				sc := bufio.NewScanner(conn)
+				for sc.Scan() {
+					reply := "ERR unexpected command"
+					switch strings.Fields(sc.Text() + " x")[0] {
+					case "HELLO":
+						reply = helloReply
+					case "QUIT":
+						fmt.Fprintln(conn, "OK bye")
+						return
+					}
+					fmt.Fprintln(conn, reply)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), func() int { return int(live.Load()) }
+}
+
+// TestHelloVersionMismatchFailsFast checks that NewRemote refuses a daemon
+// of another protocol version, or one that rejects HELLO, with a redeploy
+// error instead of degrading, and closes every pooled session on the way
+// out.
+func TestHelloVersionMismatchFailsFast(t *testing.T) {
+	for _, tc := range []struct{ name, reply, want string }{
+		{"old-version", "OK 3 juno-r2", "speaks protocol v3"},
+		{"hello-rejected", "ERR unknown command \"HELLO\"", "rejects HELLO"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, open := fakeDaemon(t, tc.reply)
+			r, err := backend.NewRemote(addr, 3, fastOpts())
+			if err == nil {
+				r.Close()
+				t.Fatal("NewRemote accepted a mismatched daemon")
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "redeploy labtarget from this tree") {
+				t.Fatalf("err = %v, want %q and a redeploy hint", err, tc.want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for open() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d pooled sessions still open after the refused handshake", open())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
 func probeLoad(t *testing.T, be backend.Backend, domain string, cores int) platform.Load {
 	t.Helper()
 	caps, err := be.Caps(domain)
@@ -97,9 +170,6 @@ func probeLoad(t *testing.T, be backend.Backend, domain string, cores int) platf
 func TestLocalRemoteEquivalence(t *testing.T) {
 	local, remote := backends(t, 4)
 
-	if remote.ProtocolVersion() != lab.ProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", remote.ProtocolVersion(), lab.ProtocolVersion)
-	}
 	if local.PlatformName() != remote.PlatformName() {
 		t.Fatalf("platform %q != %q", local.PlatformName(), remote.PlatformName())
 	}
@@ -115,12 +185,6 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Lineage is the one deliberate difference: GA checkpoints cannot
-		// cross the wire.
-		if !lc.Lineage || rc.Lineage {
-			t.Fatalf("%s lineage: local %v remote %v", dom, lc.Lineage, rc.Lineage)
-		}
-		lc.Lineage, rc.Lineage = false, false
 		if lc != rc {
 			t.Fatalf("%s caps diverge:\nlocal  %+v\nremote %+v", dom, lc, rc)
 		}

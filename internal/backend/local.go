@@ -30,7 +30,7 @@ func NewLocal(b *core.Bench) (*Local, error) {
 }
 
 // Bench exposes the wrapped bench for callers that need local-only
-// surfaces (analytic PDN paths, lineage experiments).
+// surfaces (analytic PDN paths).
 func (l *Local) Bench() *core.Bench { return l.bench }
 
 func (l *Local) domain(name string) (*platform.Domain, error) {
@@ -78,7 +78,6 @@ func (l *Local) Caps(name string) (Caps, error) {
 		ClockStepHz:       spec.ClockStepHz,
 		VoltageVisibility: spec.VoltageVisibility,
 		DSOKind:           dsoKindFor(spec.VoltageVisibility),
-		Lineage:           true,
 	}, nil
 }
 
@@ -163,8 +162,8 @@ func (l *Local) EMMeasureN(name string, load platform.Load, samples int) (*instr
 }
 
 // Measurer builds a GA fitness function on the local bench. The em metric
-// returns the bench's lineage-capable measurer unchanged, so checkpoint
-// resume keeps working through the backend layer.
+// returns the bench's batch-capable measurer unchanged, so generation
+// batching keeps working through the backend layer.
 func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	d, err := l.domain(spec.Domain)
 	if err != nil {

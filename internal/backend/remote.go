@@ -18,11 +18,8 @@ import (
 )
 
 // Remote drives a lab daemon over TCP through a client pool, presenting
-// it as a Backend. One HELLO negotiation at construction decides the
-// protocol version: a v2 daemon unlocks the full surface; a v1 daemon
-// still serves the EM measurement loop (Measurer with the em metric,
-// EMMeasure, setpoints) while the v2-only operations fail with a clear
-// upgrade message.
+// it as a Backend. A HELLO at construction checks that the daemon speaks
+// exactly lab.ProtocolVersion; any other daemon is refused up front.
 //
 // Everything the daemon measures is content-deterministic and every value
 // crosses the wire as %g (which ParseFloat round-trips exactly), so a
@@ -38,7 +35,6 @@ type Remote struct {
 	addr         string
 	pool         *lab.Pool
 	platformName string
-	version      int
 	domains      []string
 
 	mu   sync.Mutex
@@ -46,7 +42,9 @@ type Remote struct {
 }
 
 // NewRemote dials a lab daemon with a pool of `jobs` sessions (jobs<=0
-// selects GOMAXPROCS) and negotiates the protocol version.
+// selects GOMAXPROCS) and checks its protocol version. A daemon that
+// rejects HELLO or reports another version fails here, with the pool
+// closed: every daemon is built from the same tree as its clients.
 func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	pool, err := lab.NewPool(addr, par.Workers(jobs), opts)
 	if err != nil {
@@ -59,15 +57,14 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 		caps:    make(map[string]Caps),
 	}
 	err = pool.Do(func(c *lab.Client) error {
-		ver, name, err := c.Hello(lab.ProtocolVersion)
+		ver, _, err := c.Hello(lab.ProtocolVersion)
 		switch {
-		case err == nil:
-			r.version, r.platformName = ver, name
 		case lab.IsTargetError(err):
-			// Pre-HELLO daemon: protocol v1.
-			r.version = 1
-		default:
+			return fmt.Errorf("backend: lab daemon at %s rejects HELLO (%v), want protocol v%d; redeploy labtarget from this tree", addr, err, lab.ProtocolVersion)
+		case err != nil:
 			return err
+		case ver != lab.ProtocolVersion:
+			return fmt.Errorf("backend: lab daemon at %s speaks protocol v%d, want v%d; redeploy labtarget from this tree", addr, ver, lab.ProtocolVersion)
 		}
 		name, doms, err := c.Info()
 		if err != nil {
@@ -87,22 +84,12 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	return r, nil
 }
 
-// ProtocolVersion reports the negotiated protocol version.
-func (r *Remote) ProtocolVersion() int { return r.version }
-
 // Addr reports the daemon address this backend drives.
 func (r *Remote) Addr() string { return r.addr }
 
 // TransportStats snapshots the pool's transport counters (latency,
 // retries, reconnects) for -v output.
 func (r *Remote) TransportStats() lab.Stats { return r.pool.Stats() }
-
-func (r *Remote) requireV2(what string) error {
-	if r.version >= 2 {
-		return nil
-	}
-	return fmt.Errorf("backend: lab daemon at %s speaks protocol v1 and lacks %s; redeploy cmd/labtarget from this tree", r.addr, what)
-}
 
 // PlatformName identifies the remote rig.
 func (r *Remote) PlatformName() string { return r.platformName }
@@ -112,35 +99,6 @@ func (r *Remote) Domains() []string {
 	out := make([]string, len(r.domains))
 	copy(out, r.domains)
 	return out
-}
-
-// builtinCaps reconstructs a capability record from the built-in platform
-// catalogue, for v1 daemons that predate CAPS. Every v1 daemon in the
-// field serves one of the built-in boards, so the catalogue is
-// authoritative for them; custom-spec daemons need protocol v2.
-func builtinCaps(platformName, domain string) (Caps, error) {
-	if !platform.Builtin().Has(platformName) {
-		return Caps{}, fmt.Errorf("backend: v1 daemon serves unknown platform %q; CAPS needs protocol v2", platformName)
-	}
-	p, err := platform.Build(platformName)
-	if err != nil {
-		return Caps{}, err
-	}
-	d, err := p.Domain(domain)
-	if err != nil {
-		return Caps{}, err
-	}
-	spec := d.Spec
-	return Caps{
-		Domain:            spec.Name,
-		TotalCores:        spec.TotalCores,
-		Arch:              spec.ISA,
-		MaxClockHz:        spec.MaxClockHz,
-		ClockStepHz:       spec.ClockStepHz,
-		VoltageVisibility: spec.VoltageVisibility,
-		DSOKind:           dsoKindFor(spec.VoltageVisibility),
-		Lineage:           false,
-	}, nil
 }
 
 // NoPoolError reports that a rig's architecture was only interned from
@@ -180,33 +138,24 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 	r.mu.Unlock()
 
 	var caps Caps
-	if r.version >= 2 {
-		err := r.pool.Do(func(c *lab.Client) error {
-			rc, err := c.Caps(domain)
-			if err != nil {
-				return err
-			}
-			caps = Caps{
-				Domain:            domain,
-				TotalCores:        rc.TotalCores,
-				Arch:              rc.Arch,
-				MaxClockHz:        rc.MaxClockHz,
-				ClockStepHz:       rc.ClockStepHz,
-				VoltageVisibility: rc.VoltageVisibility,
-				DSOKind:           rc.DSOKind,
-				Lineage:           rc.Lineage,
-			}
-			return nil
-		})
+	err := r.pool.Do(func(c *lab.Client) error {
+		rc, err := c.Caps(domain)
 		if err != nil {
-			return Caps{}, err
+			return err
 		}
-	} else {
-		var err error
-		caps, err = builtinCaps(r.platformName, domain)
-		if err != nil {
-			return Caps{}, err
+		caps = Caps{
+			Domain:            domain,
+			TotalCores:        rc.TotalCores,
+			Arch:              rc.Arch,
+			MaxClockHz:        rc.MaxClockHz,
+			ClockStepHz:       rc.ClockStepHz,
+			VoltageVisibility: rc.VoltageVisibility,
+			DSOKind:           rc.DSOKind,
 		}
+		return nil
+	})
+	if err != nil {
+		return Caps{}, err
 	}
 	r.mu.Lock()
 	r.caps[domain] = caps
@@ -216,9 +165,6 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 
 // State queries a domain's current operating point.
 func (r *Remote) State(domain string) (DomainState, error) {
-	if err := r.requireV2("STATE"); err != nil {
-		return DomainState{}, err
-	}
 	var st DomainState
 	err := r.pool.Do(func(c *lab.Client) error {
 		rs, err := c.State(domain)
@@ -309,9 +255,9 @@ func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*in
 }
 
 // Measurer builds a GA fitness function that evaluates each individual on
-// the remote target. The em metric uses the v1 MEASURE loop (so it works
-// against old daemons); droop/ptp need the v2 VMEASURE verb and fail
-// client-side with a *CapabilityError when the domain is voltage-blind.
+// the remote target. The em metric uses the MEASURE loop; droop/ptp use
+// the VMEASURE verb and fail client-side with a *CapabilityError when the
+// domain is voltage-blind.
 func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	caps, err := r.Caps(spec.Domain)
 	if err != nil {
@@ -326,9 +272,6 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	case MetricDroop, MetricPtp:
 		if caps.DSOKind == "" {
 			return nil, &CapabilityError{Domain: spec.Domain, Metric: spec.Metric, Visibility: caps.VoltageVisibility}
-		}
-		if err := r.requireV2("the VMEASURE verb (droop/ptp metrics)"); err != nil {
-			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("backend: unknown metric %q", spec.Metric)
@@ -371,9 +314,6 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 
 // ResonanceSweep runs the fast resonance sweep on the daemon.
 func (r *Remote) ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error) {
-	if err := r.requireV2("the SWEEPFULL verb"); err != nil {
-		return nil, err
-	}
 	if samples <= 0 {
 		samples = r.Samples
 	}
@@ -389,18 +329,9 @@ func (r *Remote) ResonanceSweep(domain string, activeCores, samples int) (*core.
 	return res, nil
 }
 
-// SweepPointCapable reports whether the daemon speaks the protocol-v3
-// SWEEPAT verb. Fleet coordinators consult this at placement time so a
-// pre-v3 rig is excluded from point-sharded sweeps instead of failing
-// mid-campaign.
-func (r *Remote) SweepPointCapable() bool { return r.version >= 3 }
-
 // SweepPoint measures one fast-sweep point at an explicit clock setting on
 // the daemon.
 func (r *Remote) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	if r.version < 3 {
-		return nil, fmt.Errorf("backend: lab daemon at %s speaks protocol v%d and lacks the SWEEPAT verb (per-point sweep sharding); redeploy cmd/labtarget from this tree", r.addr, r.version)
-	}
 	if samples <= 0 {
 		samples = r.Samples
 	}
@@ -421,9 +352,6 @@ func (r *Remote) SweepPoint(domain string, activeCores, samples int, clockHz flo
 // MonitorAll iterates — so the target's float summation matches a local
 // capture exactly.
 func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, error) {
-	if err := r.requireV2("the MONITOR verb"); err != nil {
-		return nil, err
-	}
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("backend: no loads to monitor")
 	}
@@ -467,9 +395,6 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 // tester seed. The returned Result carries no Trials (the descent log
 // stays on the target).
 func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	if err := r.requireV2("the VMINFULL verb"); err != nil {
-		return nil, nil, err
-	}
 	if err := loadable(load); err != nil {
 		return nil, nil, err
 	}
@@ -508,9 +433,6 @@ func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int
 
 // VminShmoo traces the frequency/voltage failure boundary on the daemon.
 func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	if err := r.requireV2("the SHMOO verb"); err != nil {
-		return nil, err
-	}
 	if err := loadable(load); err != nil {
 		return nil, err
 	}
@@ -539,9 +461,6 @@ func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks
 
 // EvalStats fetches the daemon-side evaluation-cache counters.
 func (r *Remote) EvalStats(domain string) (string, error) {
-	if err := r.requireV2("the STATS verb"); err != nil {
-		return "", err
-	}
 	var stats string
 	err := r.pool.Do(func(c *lab.Client) error {
 		var err error

@@ -319,12 +319,12 @@ func (a *App) fleetBackend() (backend.Backend, error) {
 	}
 	opts := fleet.Options{Slots: *a.Jobs, Salt: fleetSalt(*a.Seed, platName)}
 	if *a.Checkpoint != "" {
-		ckpt, err := fleet.OpenCheckpoint(*a.Checkpoint)
+		journal, err := fleet.OpenCheckpoint(*a.Checkpoint)
 		if err != nil {
 			closeAll()
 			return nil, err
 		}
-		opts.Checkpoint = ckpt
+		opts.Checkpoint = journal
 	}
 	f, err := fleet.New(rigs, opts)
 	if err != nil {

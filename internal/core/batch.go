@@ -172,11 +172,11 @@ func (st *batchState) putArena(ar *slab.Arena) {
 // MeasureBatch implements ga.BatchMeasurer: one call evaluates the whole
 // generation with intra-batch dedup, the cross-generation memo and slab
 // arenas, bit-identical to per-individual Measure calls at any parallelism.
-func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
-	return m.b.emMeasureBatch(m.d, items, m.activeCores, m.b.Samples, parallelism)
+func (m emMeasurer) MeasureBatch(seqs [][]isa.Inst, parallelism int) ([]ga.BatchResult, error) {
+	return m.b.emMeasureBatch(m.d, seqs, m.activeCores, m.b.Samples, parallelism)
 }
 
-func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeCores, samples, parallelism int) ([]ga.BatchResult, error) {
+func (b *Bench) emMeasureBatch(d *platform.Domain, seqs [][]isa.Inst, activeCores, samples, parallelism int) ([]ga.BatchResult, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,8 +184,8 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		return nil, fmt.Errorf("core: %d samples", samples)
 	}
 	st := b.batchSt()
-	results := make([]ga.BatchResult, len(items))
-	if len(items) == 0 {
+	results := make([]ga.BatchResult, len(seqs))
+	if len(seqs) == 0 {
 		return results, nil
 	}
 
@@ -203,13 +203,13 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 	// 64-bit content key the spectra cache already trusts.
 	emID := emIdentity(b.Platform.Antenna, d.Spec.EMPath)
 	disk := newMeasDisk(b, d)
-	firstOf := make(map[uint64]int, len(items))
-	dupOf := make([]int, len(items))
-	keys := make([]batchMemoKey, len(items))
-	work := make([]int, 0, len(items))
+	firstOf := make(map[uint64]int, len(seqs))
+	dupOf := make([]int, len(seqs))
+	keys := make([]batchMemoKey, len(seqs))
+	work := make([]int, 0, len(seqs))
 	var dedup, memoHits uint64
-	for i := range items {
-		h := platform.Load{Seq: items[i].Seq, ActiveCores: activeCores}.Hash()
+	for i := range seqs {
+		h := platform.Load{Seq: seqs[i], ActiveCores: activeCores}.Hash()
 		keys[i] = batchMemoKey{load: h, em: emID, powered: powered, clock: clock, supply: supply,
 			dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
 		if j, ok := firstOf[h]; ok {
@@ -260,8 +260,8 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		used[w].Store(true)
 		ar := arenas[w]
 		ar.Reset()
-		l := platform.Load{Seq: items[i].Seq, ActiveCores: activeCores}
-		freqs, _, iAmp, _, err := d.SpectraLineageArena(l, b.Dt, b.N, uarchLineage(items[i].Lin), ar)
+		l := platform.Load{Seq: seqs[i], ActiveCores: activeCores}
+		freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, ar)
 		if err != nil {
 			return err
 		}
@@ -298,7 +298,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		}
 	}
 	st.batches.Add(1)
-	st.items.Add(uint64(len(items)))
+	st.items.Add(uint64(len(seqs)))
 	st.measured.Add(uint64(len(work)))
 	st.dedup.Add(dedup)
 	st.memoHits.Add(memoHits)
@@ -311,7 +311,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 	if err != nil {
 		return nil, err
 	}
-	for i := range items {
+	for i := range seqs {
 		if j := dupOf[i]; j >= 0 {
 			results[i] = results[j]
 		}

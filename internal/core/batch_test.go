@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/isa"
 )
 
 // TestMeasureBatchParallelismZero is the -j 0 regression: the raw
@@ -22,9 +23,9 @@ func TestMeasureBatchParallelismZero(t *testing.T) {
 	d1 := dom(t, p1, "cortex-a72")
 	rng := rand.New(rand.NewSource(9))
 	pool := d1.Spec.Pool()
-	var items []ga.BatchItem
+	var items [][]isa.Inst
 	for i := 0; i < 24; i++ {
-		items = append(items, ga.BatchItem{Seq: pool.RandomSequence(rng, 30)})
+		items = append(items, pool.RandomSequence(rng, 30))
 	}
 
 	m1 := b1.EMMeasurer(d1, 2)
@@ -68,9 +69,9 @@ func TestBatchMemoKeyedByReceiveChain(t *testing.T) {
 	d1 := dom(t, p1, "cortex-a72")
 	rng := rand.New(rand.NewSource(17))
 	pool := d1.Spec.Pool()
-	var items []ga.BatchItem
+	var items [][]isa.Inst
 	for i := 0; i < 8; i++ {
-		items = append(items, ga.BatchItem{Seq: pool.RandomSequence(rng, 30)})
+		items = append(items, pool.RandomSequence(rng, 30))
 	}
 	first, err := b1.EMMeasurer(d1, 2).(ga.BatchMeasurer).MeasureBatch(items, 2)
 	if err != nil {

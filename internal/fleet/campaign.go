@@ -75,7 +75,7 @@ func runCampaign[R any](f *Fleet, c *campaign[R]) ([]R, error) {
 
 	// Replay journaled shards before any rig lifts a finger.
 	for i := 0; i < n; i++ {
-		if f.ckpt != nil && f.ckpt.Lookup(c.key, c.items[i], &s.results[i]) {
+		if f.journal != nil && f.journal.Lookup(c.key, c.items[i], &s.results[i]) {
 			s.done[i] = true
 			f.replayed.Add(1)
 			continue
@@ -204,8 +204,8 @@ func (s *sched[R]) complete(r *rig, i int, res R) {
 	r.completed.Add(1)
 	if first {
 		s.f.measured.Add(1)
-		if s.f.ckpt != nil {
-			if err := s.f.ckpt.Add(s.c.key, s.c.items[i], res); err != nil {
+		if s.f.journal != nil {
+			if err := s.f.journal.Add(s.c.key, s.c.items[i], res); err != nil {
 				s.mu.Lock()
 				if s.err == nil {
 					s.err = err

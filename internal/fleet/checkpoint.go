@@ -9,13 +9,13 @@ import (
 )
 
 // Checkpoint is the fleet coordinator's durable campaign journal: one JSON
-// line per completed shard, keyed by content exactly like PR 4's lineage
-// checkpoints. A record names the campaign (a 64-bit hash of everything the
-// result depends on except the item itself: kind, platform, domain,
-// operating point, seeds, sample depth) and the item (the same 64-bit
-// content key the spectra cache and batch memo already trust), so a resumed
-// coordinator replays a hit only when both hashes match — a changed
-// operating point or a mutated workload misses cleanly and re-measures.
+// line per completed shard, keyed by content. A record names the campaign
+// (a 64-bit hash of everything the result depends on except the item
+// itself: kind, platform, domain, operating point, seeds, sample depth)
+// and the item (the same 64-bit content key the spectra cache and batch
+// memo already trust), so a resumed coordinator replays a hit only when
+// both hashes match — a changed operating point or a mutated workload
+// misses cleanly and re-measures.
 //
 // The journal is append-only. A torn final line (coordinator killed
 // mid-write) is detected by JSON validity and dropped; every intact line
@@ -26,17 +26,17 @@ type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
 	w    *bufio.Writer
-	done map[ckptKey]json.RawMessage
+	done map[journalKey]json.RawMessage
 
 	hits, misses, dropped uint64
 }
 
-type ckptKey struct {
+type journalKey struct {
 	campaign uint64
 	item     uint64
 }
 
-type ckptRecord struct {
+type journalRecord struct {
 	Campaign string          `json:"campaign"`
 	Item     string          `json:"item"`
 	Result   json.RawMessage `json:"result"`
@@ -49,7 +49,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: open checkpoint: %w", err)
 	}
-	c := &Checkpoint{f: f, done: make(map[ckptKey]json.RawMessage)}
+	c := &Checkpoint{f: f, done: make(map[journalKey]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
@@ -57,12 +57,12 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec ckptRecord
+		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			c.dropped++ // torn or corrupt line: ignore, re-measure covers it
 			continue
 		}
-		var key ckptKey
+		var key journalKey
 		if _, err := fmt.Sscanf(rec.Campaign, "%x", &key.campaign); err != nil {
 			c.dropped++
 			continue
@@ -85,7 +85,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 // unmarshalled into out.
 func (c *Checkpoint) Lookup(campaign, item uint64, out any) bool {
 	c.mu.Lock()
-	raw, ok := c.done[ckptKey{campaign, item}]
+	raw, ok := c.done[journalKey{campaign, item}]
 	if ok {
 		c.hits++
 	} else {
@@ -108,7 +108,7 @@ func (c *Checkpoint) Add(campaign, item uint64, result any) error {
 	if err != nil {
 		return fmt.Errorf("fleet: checkpoint result: %w", err)
 	}
-	rec := ckptRecord{
+	rec := journalRecord{
 		Campaign: fmt.Sprintf("%016x", campaign),
 		Item:     fmt.Sprintf("%016x", item),
 		Result:   raw,
@@ -119,7 +119,7 @@ func (c *Checkpoint) Add(campaign, item uint64, result any) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := ckptKey{campaign, item}
+	key := journalKey{campaign, item}
 	if _, ok := c.done[key]; ok {
 		return nil // already journaled (speculative duplicate finished twice)
 	}

@@ -71,10 +71,10 @@ type rig struct {
 // Fleet is a set of observationally equivalent rigs behind one
 // backend.Backend face.
 type Fleet struct {
-	rigs  []*rig
-	slots int
-	salt  uint64
-	ckpt  *Checkpoint
+	rigs    []*rig
+	slots   int
+	salt    uint64
+	journal *Checkpoint
 
 	platformName string
 	domains      []string
@@ -97,9 +97,9 @@ func New(rigs []Rig, opts Options) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: need at least one rig")
 	}
 	f := &Fleet{
-		slots: par.Workers(opts.Slots),
-		salt:  opts.Salt,
-		ckpt:  opts.Checkpoint,
+		slots:   par.Workers(opts.Slots),
+		salt:    opts.Salt,
+		journal: opts.Checkpoint,
 	}
 	for i, r := range rigs {
 		if r.Backend == nil {
@@ -198,29 +198,14 @@ func (f *Fleet) Domains() []string {
 	return append([]string(nil), f.domains...)
 }
 
-// Caps returns the fleet's capability record for a domain: the first live
-// rig's record, with Lineage reported only when every live rig supports it
-// (a capability the fleet advertises must hold wherever a shard lands).
+// Caps returns the fleet's capability record for a domain (identical on
+// every rig, so the first live one answers).
 func (f *Fleet) Caps(domain string) (backend.Caps, error) {
 	r, err := f.firstLive()
 	if err != nil {
 		return backend.Caps{}, err
 	}
-	caps, err := r.be.Caps(domain)
-	if err != nil {
-		return backend.Caps{}, err
-	}
-	for _, o := range f.rigs {
-		if o.dead.Load() || o == r || !caps.Lineage {
-			continue
-		}
-		oc, err := o.be.Caps(domain)
-		if err != nil {
-			return backend.Caps{}, err
-		}
-		caps.Lineage = caps.Lineage && oc.Lineage
-	}
-	return caps, nil
+	return r.be.Caps(domain)
 }
 
 // State returns the domain's operating point (identical on every rig, so
@@ -297,16 +282,13 @@ func (f *Fleet) EMMeasureN(domain string, load platform.Load, samples int) (*ins
 	})
 }
 
-// SweepPoint measures one fast-sweep point on the first live rig that has
-// the per-point verb.
+// SweepPoint measures one fast-sweep point on the first live rig.
 func (f *Fleet) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	for _, r := range f.rigs {
-		if r.dead.Load() || !sweepPointCapable(r.be) {
-			continue
-		}
-		return r.be.SweepPoint(domain, activeCores, samples, clockHz)
+	r, err := f.firstLive()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("fleet: no live rig supports per-point sweeps (redeploy labd at protocol v3+)")
+	return r.be.SweepPoint(domain, activeCores, samples, clockHz)
 }
 
 // MonitorAll captures one combined spectrum on the first live rig.
@@ -324,10 +306,10 @@ func (f *Fleet) EvalStats(domain string) (string, error) {
 	fmt.Fprintf(&b, "fleet: %d rigs (%d live), %d campaigns, %d items: %d measured, %d replayed, %d stolen, %d requeued, %d failovers",
 		len(f.rigs), f.LiveRigs(), f.campaigns.Load(), f.itemsTotal.Load(),
 		f.measured.Load(), f.replayed.Load(), f.steals.Load(), f.requeues.Load(), f.failovers.Load())
-	if f.ckpt != nil {
-		hits, misses, dropped := f.ckpt.Stats()
+	if f.journal != nil {
+		hits, misses, dropped := f.journal.Stats()
 		fmt.Fprintf(&b, "\nfleet checkpoint: %d shards journaled, %d hits, %d misses, %d dropped lines",
-			f.ckpt.Len(), hits, misses, dropped)
+			f.journal.Len(), hits, misses, dropped)
 	}
 	for _, r := range f.rigs {
 		state := "live"
@@ -362,8 +344,8 @@ func (f *Fleet) Close() error {
 			firstErr = err
 		}
 	}
-	if f.ckpt != nil {
-		if err := f.ckpt.Close(); err != nil && firstErr == nil {
+	if f.journal != nil {
+		if err := f.journal.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -375,15 +357,4 @@ func (f *Fleet) Close() error {
 // it, so failover is pointless and misleading.
 func isDeterministicError(err error) bool {
 	return backend.IsCapabilityError(err) || backend.IsNoPoolError(err) || lab.IsTargetError(err)
-}
-
-// sweepPointCapable reports whether a backend can serve SweepPoint:
-// remotes say so via SweepPointCapable (protocol v3+), everything else
-// (Local, future wrappers) is assumed capable.
-func sweepPointCapable(be backend.Backend) bool {
-	type capable interface{ SweepPointCapable() bool }
-	if c, ok := be.(capable); ok {
-		return c.SweepPointCapable()
-	}
-	return true
 }

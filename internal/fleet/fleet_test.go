@@ -106,22 +106,22 @@ func newFleet(t *testing.T, opts fleet.Options, rigs ...fleet.Rig) *fleet.Fleet 
 
 const testDomain = "cortex-a72"
 
-// population builds GA batch items with duplicates mixed in, the shape a
-// generation hands MeasureBatch.
-func population(t *testing.T, be backend.Backend, n int) []ga.BatchItem {
+// population builds GA batch sequences with duplicates mixed in, the shape
+// a generation hands MeasureBatch.
+func population(t *testing.T, be backend.Backend, n int) [][]isa.Inst {
 	t.Helper()
 	caps, err := be.Caps(testDomain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	items := make([]ga.BatchItem, 0, n)
+	items := make([][]isa.Inst, 0, n)
 	for i := 0; i < n; i++ {
-		items = append(items, ga.BatchItem{Seq: caps.Pool().RandomSequence(rng, 24)})
+		items = append(items, caps.Pool().RandomSequence(rng, 24))
 	}
 	// Exact duplicates: converged clones.
-	items[n-1] = ga.BatchItem{Seq: items[0].Seq}
-	items[n-2] = ga.BatchItem{Seq: items[1].Seq}
+	items[n-1] = items[0]
+	items[n-2] = items[1]
 	return items
 }
 
@@ -200,14 +200,7 @@ func TestFleetGAMatchesSingle(t *testing.T) {
 	}
 }
 
-// noPointRig hides per-point sweep capability, standing in for a pre-v3
-// daemon.
-type noPointRig struct{ backend.Backend }
-
-func (noPointRig) SweepPointCapable() bool { return false }
-
-// TestFleetSweepMatchesSingle checks the sharded fast sweep (and its
-// whole-sweep fallback for fleets without the per-point verb) against the
+// TestFleetSweepMatchesSingle checks the sharded fast sweep against the
 // single-backend sweep, bit for bit.
 func TestFleetSweepMatchesSingle(t *testing.T) {
 	single := localRig(t)
@@ -226,18 +219,6 @@ func TestFleetSweepMatchesSingle(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("sharded fleet sweep differs from single-backend sweep")
-	}
-
-	// No rig point-capable: the fleet must fall back to routing the whole
-	// sweep to one rig, with the same answer.
-	fb := newFleet(t, fleet.Options{Slots: 2},
-		fleet.Rig{Name: "old", Backend: noPointRig{localRig(t)}})
-	got2, err := fb.ResonanceSweep(testDomain, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("whole-sweep fallback differs from single-backend sweep")
 	}
 }
 
@@ -461,7 +442,7 @@ func TestFleetCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		load := platform.Load{Seq: items[0].Seq, ActiveCores: 2}
+		load := platform.Load{Seq: items[0], ActiveCores: 2}
 		vres, _, err := f.Vmin(testDomain, load, 3, 2)
 		if err != nil {
 			t.Fatal(err)

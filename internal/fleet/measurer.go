@@ -14,10 +14,7 @@ import (
 // individual is one campaign item keyed by its load content hash (the same
 // key the rig-side spectra cache and batch memo use), deduplicated before
 // placement so identical post-mutation children cost one measurement
-// fleet-wide. Breeding lineage hints are forwarded to rigs whose measurers
-// can exploit them; the contract that lineage is a pure performance hint
-// (same bytes either way) is what lets a hinted shard land on a
-// lineage-blind remote without changing the result.
+// fleet-wide.
 type fleetMeasurer struct {
 	f    *Fleet
 	spec backend.MeasurerSpec
@@ -62,16 +59,7 @@ func (f *Fleet) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
 // Measure evaluates one sequence through the batch path, so the scalar GA
 // driver inherits failover and checkpoint replay unchanged.
 func (m *fleetMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	res, err := m.MeasureBatch([]ga.BatchItem{{Seq: seq}}, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res[0].Fitness, res[0].DominantHz, nil
-}
-
-// MeasureLineage is Measure with the breeding hint attached.
-func (m *fleetMeasurer) MeasureLineage(seq []isa.Inst, lin *ga.Lineage) (float64, float64, error) {
-	res, err := m.MeasureBatch([]ga.BatchItem{{Seq: seq, Lin: lin}}, 1)
+	res, err := m.MeasureBatch([][]isa.Inst{seq}, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -82,8 +70,8 @@ func (m *fleetMeasurer) MeasureLineage(seq []isa.Inst, lin *ga.Lineage) (float64
 // content, shard across rigs, merge by index. Identical to a single
 // backend's MeasureBatch bit-for-bit at any rig count, slot count or
 // steal schedule.
-func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
-	if len(items) == 0 {
+func (m *fleetMeasurer) MeasureBatch(seqs [][]isa.Inst, parallelism int) ([]ga.BatchResult, error) {
+	if len(seqs) == 0 {
 		return nil, nil
 	}
 	st, err := m.f.State(m.spec.Domain)
@@ -103,11 +91,11 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 
 	// Dedup identical children: one shard per distinct sequence, every
 	// duplicate index fans the shared result back out.
-	hashes := make([]uint64, len(items))
-	uniqOf := make(map[uint64]int, len(items))
+	hashes := make([]uint64, len(seqs))
+	uniqOf := make(map[uint64]int, len(seqs))
 	var uniq []int
-	for i, it := range items {
-		load := platform.Load{Seq: it.Seq, ActiveCores: m.spec.ActiveCores}
+	for i, seq := range seqs {
+		load := platform.Load{Seq: seq, ActiveCores: m.spec.ActiveCores}
 		hashes[i] = load.Hash()
 		if _, ok := uniqOf[hashes[i]]; !ok {
 			uniqOf[hashes[i]] = len(uniq)
@@ -126,15 +114,7 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 		slots:    parallelism,
 		eligible: func(r *rig) bool { return m.ms[r] != nil },
 		run: func(r *rig, k int) (ga.BatchResult, error) {
-			it := items[uniq[k]]
-			rm := m.ms[r]
-			var fit, hz float64
-			var err error
-			if lm, ok := rm.(ga.LineageMeasurer); ok && it.Lin != nil {
-				fit, hz, err = lm.MeasureLineage(it.Seq, it.Lin)
-			} else {
-				fit, hz, err = rm.Measure(it.Seq)
-			}
+			fit, hz, err := m.ms[r].Measure(seqs[uniq[k]])
 			if err != nil {
 				return ga.BatchResult{}, err
 			}
@@ -145,8 +125,8 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ga.BatchResult, len(items))
-	for i := range items {
+	out := make([]ga.BatchResult, len(seqs))
+	for i := range seqs {
 		out[i] = uniqRes[uniqOf[hashes[i]]]
 	}
 	return out, nil

@@ -407,67 +407,6 @@ func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
 	return m, nil
 }
 
-// Sweep runs the fast resonance sweep remotely.
-func (c *Client) Sweep(domain string, cores int) (resonanceHz, peakDBm float64, points int, err error) {
-	err = c.do(command{
-		verb: "SWEEP",
-		line: fmt.Sprintf("SWEEP %s %d", domain, cores),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if resonanceHz, err = floatField(fields, 0, "resonance"); err != nil {
-				return err
-			}
-			if peakDBm, err = floatField(fields, 1, "peak"); err != nil {
-				return err
-			}
-			if points, err = intField(fields, 2, "points"); err != nil {
-				return err
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return resonanceHz, peakDBm, points, nil
-}
-
-// RemoteVmin is a V_MIN search outcome from the target.
-type RemoteVmin struct {
-	VminV   float64
-	MarginV float64
-	Outcome string
-}
-
-// Vmin runs a V_MIN campaign on the currently loaded workload remotely.
-func (c *Client) Vmin(repeats int) (*RemoteVmin, error) {
-	out := &RemoteVmin{}
-	err := c.do(command{
-		verb: "VMIN",
-		line: fmt.Sprintf("VMIN %d", repeats),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if out.VminV, err = floatField(fields, 0, "vmin"); err != nil {
-				return err
-			}
-			if out.MarginV, err = floatField(fields, 1, "margin"); err != nil {
-				return err
-			}
-			if len(fields) < 3 {
-				return fmt.Errorf("malformed VMIN reply %q", payload)
-			}
-			out.Outcome = fields[2]
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SetClock adjusts the target's DVFS point.
 func (c *Client) SetClock(domain string, hz float64) error {
 	return c.do(command{

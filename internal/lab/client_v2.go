@@ -11,16 +11,15 @@ import (
 	"repro/internal/vmin"
 )
 
-// Protocol-v2 client methods. All of them ride the same resilience loop as
-// the v1 verbs: single-line request, single-line reply, retried on
+// Backend-layer client methods. All of them ride the same resilience loop
+// as the basic verbs: single-line request, single-line reply, retried on
 // transport faults after a reconnect-and-replay, never retried on target
 // ERR replies.
 
-// Hello negotiates the protocol version. It returns the version both
-// sides can speak — min(version, server's) — and the target's platform
-// name. A v1 daemon predates HELLO and rejects it; callers detect that
-// with IsTargetError and fall back to the v1 command subset.
-func (c *Client) Hello(version int) (negotiated int, platformName string, err error) {
+// Hello announces the client's protocol version and returns the server's
+// version and the target's platform name. The caller decides what a
+// mismatch means; backend.NewRemote refuses any version but its own.
+func (c *Client) Hello(version int) (serverVersion int, platformName string, err error) {
 	err = c.do(command{
 		verb: "HELLO",
 		line: fmt.Sprintf("HELLO %d", version),
@@ -33,17 +32,14 @@ func (c *Client) Hello(version int) (negotiated int, platformName string, err er
 			if len(fields) < 2 {
 				return fmt.Errorf("malformed HELLO reply %q", payload)
 			}
-			negotiated, platformName = server, fields[1]
-			if version < negotiated {
-				negotiated = version
-			}
+			serverVersion, platformName = server, fields[1]
 			return nil
 		},
 	})
 	if err != nil {
 		return 0, "", err
 	}
-	return negotiated, platformName, nil
+	return serverVersion, platformName, nil
 }
 
 // RemoteCaps is a domain capability record as reported by CAPS.
@@ -54,7 +50,6 @@ type RemoteCaps struct {
 	ClockStepHz       float64
 	VoltageVisibility string
 	DSOKind           string // "oc-dso", "bench-scope" or "" (no scope)
-	Lineage           bool
 }
 
 // Caps queries a domain's capability record.
@@ -69,7 +64,7 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 			if caps.TotalCores, err = intField(fields, 0, "cores"); err != nil {
 				return err
 			}
-			if len(fields) < 7 {
+			if len(fields) < 6 {
 				return fmt.Errorf("malformed CAPS reply %q", payload)
 			}
 			if caps.Arch, err = isa.ParseArch(fields[1]); err != nil {
@@ -91,11 +86,6 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 			if fields[5] != "-" {
 				caps.DSOKind = fields[5]
 			}
-			lineage, err := intField(fields, 6, "lineage")
-			if err != nil {
-				return err
-			}
-			caps.Lineage = lineage != 0
 			return nil
 		},
 	})
@@ -190,7 +180,7 @@ func (c *Client) SweepFull(domain string, cores, samples int) (*core.SweepResult
 }
 
 // SweepAt measures one fast-sweep point at an explicit clock setting (the
-// protocol-v3 verb behind fleet-sharded sweeps). A nil point with a nil
+// verb behind fleet-sharded sweeps). A nil point with a nil
 // error means the probe loop falls outside the daemon bench's search band
 // at that clock — the same contract as core.SweepPointAt.
 func (c *Client) SweepAt(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/isa"
 	"repro/internal/platform"
+	"repro/internal/vmin"
 	"repro/internal/workload"
 )
 
@@ -151,17 +152,17 @@ func TestDomainControls(t *testing.T) {
 }
 
 func TestRemoteSweep(t *testing.T) {
-	addr, _ := startServer(t)
+	addr, b := startServer(t)
 	c := dial(t, addr)
-	res, peak, points, err := c.Sweep(platform.DomainA72, 2)
+	res, err := c.SweepFull(platform.DomainA72, 2, b.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res < 60e6 || res > 80e6 {
-		t.Fatalf("remote sweep resonance %v", res)
+	if res.ResonanceHz < 60e6 || res.ResonanceHz > 80e6 {
+		t.Fatalf("remote sweep resonance %v", res.ResonanceHz)
 	}
-	if points < 10 || peak > 0 {
-		t.Fatalf("sweep stats %v %d", peak, points)
+	if len(res.Points) < 10 || res.PeakDBm > 0 {
+		t.Fatalf("sweep stats %v %d", res.PeakDBm, len(res.Points))
 	}
 }
 
@@ -210,7 +211,7 @@ func TestProtocolErrors(t *testing.T) {
 		"LOAD cortex-a72 2 -5",
 		"RUN",          // nothing loaded
 		"MEASURE 0",    // bad sample count
-		"SWEEP",        // missing args
+		"SWEEPFULL",    // missing args
 		"SETCLOCK x",   // missing value
 		"SETCORES a b", // non-numeric
 		"RESET",        // missing domain
@@ -257,8 +258,8 @@ func TestDialFailure(t *testing.T) {
 func TestRemoteVmin(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
-	// VMIN before anything is loaded must fail.
-	if _, err := c.Vmin(1); err == nil {
+	// VMINFULL before anything is loaded must fail.
+	if _, err := c.VminFull(1, 1); err == nil {
 		t.Fatal("vmin without a loaded workload succeeded")
 	}
 	d, _ := b.Platform.Domain(platform.DomainA72)
@@ -270,17 +271,20 @@ func TestRemoteVmin(t *testing.T) {
 	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Vmin(2)
+	res, err := c.VminFull(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.VminV <= 0 || res.VminV >= d.Spec.PDN.VNominal {
 		t.Fatalf("remote vmin %v", res.VminV)
 	}
-	if res.Outcome == "pass" || res.Outcome == "" {
-		t.Fatalf("outcome %q", res.Outcome)
+	if res.Outcome == vmin.Pass {
+		t.Fatalf("outcome %v", res.Outcome)
 	}
-	if _, err := c.Vmin(0); err == nil {
+	if len(res.Runs) != 2 {
+		t.Fatalf("%d per-run V_MINs for 2 repeats", len(res.Runs))
+	}
+	if _, err := c.VminFull(1, 0); err == nil {
 		t.Fatal("0 repeats accepted")
 	}
 }
@@ -373,7 +377,7 @@ func TestConcurrentClients(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, _, _, err := c.Sweep(platform.DomainA53, 1); err != nil {
+			if _, err := c.SweepFull(platform.DomainA53, 1, b.Samples); err != nil {
 				done <- err
 				return
 			}

@@ -68,7 +68,7 @@ func TestPoolCloseUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSweepAtMatchesDirect drives the v3 per-point sweep verb and checks
+// TestSweepAtMatchesDirect drives the per-point sweep verb and checks
 // each wire answer against the bench's own SweepPointAt: same clock grid,
 // bit-identical in-band points, and the out-of-band clocks (probe loop
 // below the band at low DVFS steps) reported as such rather than faked.
@@ -79,12 +79,12 @@ func TestSweepAtMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	negotiated, _, err := c.Hello(ProtocolVersion)
+	ver, _, err := c.Hello(ProtocolVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if negotiated < 3 {
-		t.Fatalf("negotiated v%d, want v3+", negotiated)
+	if ver != ProtocolVersion {
+		t.Fatalf("server speaks v%d, want v%d", ver, ProtocolVersion)
 	}
 
 	d, err := bench.Platform.Domain("cortex-a72")

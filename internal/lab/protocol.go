@@ -14,35 +14,32 @@
 // `ERR` replies are never retried — the command reached the target and was
 // rejected; only stream integrity failures are.
 //
-// Protocol v1 (requests are single lines; the program body follows LOAD):
+// The protocol has one version, ProtocolVersion. Requests are single
+// lines; the program body follows LOAD and MONITOR. A client opens with
+// HELLO, and backend.NewRemote refuses a daemon that reports any other
+// version: every daemon is built from the same tree as its clients.
 //
+//	HELLO <version>                 → OK <serverVersion> <platform>
+//	INFO                            → OK <platform> <domain/cores>...
 //	LOAD <domain> <cores> <lines>   + <lines> lines of assembly
 //	RUN                             start the loaded workload
 //	STOP                            stop the running workload
-//	MEASURE <samples>               averaged EM peak while running
-//	SWEEP <domain> <cores>          fast resonance sweep (Section 5.3)
-//	VMIN [repeats]                  V_MIN search of the loaded workload
+//	MEASURE <samples>               → OK <dbm> <hz> <stdev>  (running slot)
 //	SETCLOCK <domain> <hz>          DVFS control (DS-5 / Overdrive role)
 //	SETCORES <domain> <n>           power-gate cores via the SCP
 //	SETVOLTS <domain> <v>           supply control
 //	RESET <domain>                  restore nominal domain state
-//	INFO                            platform and domain inventory
-//	QUIT                            close the session (replies "OK bye")
-//
-// Protocol v2 adds the commands the backend layer (internal/backend)
-// needs to drive a remote rig exactly like a local bench. Versions are
-// negotiated with HELLO: a v1 daemon answers "ERR unknown command" and the
-// client falls back to the v1 subset (enough for gahunt's EM loop), so old
-// targets keep serving while new ones unlock the full surface:
-//
-//	HELLO <version>                 → OK <serverVersion> <platform>
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
-//	                                     <visibility> <dsoKind> <lineage>
+//	                                     <visibility> <dsoKind>
 //	STATE <domain>                  → OK <clockHz> <supplyV> <powered>
 //	SWEEPFULL <domain> <cores> <samples>
 //	                                → OK <resHz> <peakLoopHz> <peakDBm> <n>
 //	                                     then n × "<clock> <loop> <dbm>"
 //	                                     inline on the same reply line
+//	SWEEPAT <domain> <cores> <samples> <clockHz>
+//	                                → OK 1 <clock> <loop> <dbm>, or
+//	                                  OK 0 when the probe loop falls
+//	                                  outside the search band at that clock
 //	VMINFULL <seed> <repeats>       → OK <vmin> <margin> <droop> <outcome>
 //	                                     <n> <v1> ... <vn>   (loaded slot)
 //	SHMOO <seed> <clock>...         → OK <n> then n × "<clock> <vmin>
@@ -55,20 +52,12 @@
 //	                                  <lines> program lines
 //	                                → OK <n> <startHz> <rbwHz> <dbm...>
 //	STATS <domain>                  → OK <quoted eval-stats string>
-//
-// Protocol v3 adds the single verb a fleet coordinator needs to shard a
-// resonance sweep across rigs at clock-step granularity (a v2 daemon still
-// serves everything above; the client falls back to whole-sweep routing):
-//
-//	SWEEPAT <domain> <cores> <samples> <clockHz>
-//	                                → OK 1 <clock> <loop> <dbm>, or
-//	                                  OK 0 when the probe loop falls
-//	                                  outside the search band at that clock
+//	QUIT                            close the session (replies "OK bye")
 //
 // Responses are "OK ..." or "ERR <message>". An ERR reply leaves the
 // session usable; a malformed line (or one longer than the limit) closes
-// it. Requests stay under maxLineLen; v2 replies may carry a whole sweep
-// or spectrum on one line and are bounded by the larger maxReplyLen —
+// it. Requests stay under maxLineLen; replies may carry a whole sweep or
+// spectrum on one line and are bounded by the larger maxReplyLen —
 // single-line replies keep every command a strict request/response pair,
 // which is what makes retry-after-reconnect trivially safe. The
 // loaded/running workload slot is per connection — concurrent sessions
@@ -96,18 +85,18 @@ const (
 	replyErr = "ERR"
 )
 
-// ProtocolVersion is the protocol revision this package speaks. Version 2
-// added the backend-layer verbs (HELLO/CAPS/STATE/SWEEPFULL/VMINFULL/
-// SHMOO/VMEASURE/MONITOR/STATS); version 3 added SWEEPAT (per-point sweep
-// sharding for fleet coordinators). The v1/v2 subsets are still served
-// unchanged and HELLO negotiates down for older peers.
-const ProtocolVersion = 3
+// ProtocolVersion is the protocol revision this package speaks. Version 4
+// dropped the trailing always-zero field of the CAPS reply and the
+// SWEEP/VMIN verbs (SWEEPFULL/VMINFULL replace them); peers of any other
+// version are refused, not negotiated with.
+const ProtocolVersion = 4
 
 // Protocol hard limits: a LOAD body may declare at most maxProgramLines
 // lines, and no single request or program line may exceed maxLineLen
 // bytes — a peer that sends more is desynced or hostile and the connection
 // is closed rather than buffering without bound. Replies get the larger
-// maxReplyLen because v2 ships whole sweeps and spectra on one line.
+// maxReplyLen because SWEEPFULL and MONITOR ship whole sweeps and spectra
+// on one line.
 const (
 	maxProgramLines = 10000
 	maxLineLen      = 1 << 16

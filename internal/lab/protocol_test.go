@@ -153,16 +153,16 @@ func TestDispatchMalformed(t *testing.T) {
 		"MEASURE -3",
 		"MEASURE 1001",
 		"MEASURE many",
-		// VMIN: out-of-range and non-numeric repeats
-		"VMIN 0",
-		"VMIN -1",
-		"VMIN 101",
-		"VMIN x",
-		// SWEEP / SET* / RESET: truncated and non-numeric
-		"SWEEP",
-		"SWEEP cortex-a72",
-		"SWEEP cortex-a72 two",
-		"SWEEP nope 2",
+		// VMINFULL: out-of-range and non-numeric repeats
+		"VMINFULL 1 0",
+		"VMINFULL 1 -1",
+		"VMINFULL 1 101",
+		"VMINFULL 1 x",
+		// SWEEPFULL / SET* / RESET: truncated and non-numeric
+		"SWEEPFULL",
+		"SWEEPFULL cortex-a72",
+		"SWEEPFULL cortex-a72 two 3",
+		"SWEEPFULL nope 2 3",
 		"SETCLOCK x",
 		"SETCLOCK cortex-a72 fast",
 		"SETVOLTS cortex-a72",

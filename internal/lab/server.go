@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/platform"
-	"repro/internal/vmin"
 )
 
 // Server is the target-machine daemon: it owns the platform under test and
@@ -273,10 +272,6 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 		return false, s.cmdStop(sess, w)
 	case "MEASURE":
 		return false, s.cmdMeasure(sess, w, fields)
-	case "SWEEP":
-		return false, s.cmdSweep(w, fields)
-	case "VMIN":
-		return false, s.cmdVmin(sess, w, fields)
 	case "SETCLOCK":
 		return false, s.cmdSet(w, fields, func(d *platform.Domain, v float64) error {
 			return d.SetClockHz(v)
@@ -428,57 +423,6 @@ func (s *Server) cmdMeasure(sess *session, w *bufio.Writer, fields []string) err
 		return err
 	}
 	return writeLine(w, "%s %g %g %g", replyOK, m.PeakDBm, m.PeakHz, m.StdevDBm)
-}
-
-func (s *Server) cmdSweep(w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: SWEEP <domain> <cores>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	cores, err := intField(fields, 2, "cores")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
-	res, err := s.Bench.FastResonanceSweep(d, cores)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %d", replyOK, res.ResonanceHz, res.PeakDBm, len(res.Points))
-}
-
-// cmdVmin runs a V_MIN search (optionally repeated) on the currently
-// loaded workload and reports the worst observed V_MIN.
-func (s *Server) cmdVmin(sess *session, w *bufio.Writer, fields []string) error {
-	repeats := 1
-	if len(fields) > 1 {
-		var err error
-		repeats, err = intField(fields, 1, "repeats")
-		if err != nil {
-			return err
-		}
-		if repeats < 1 || repeats > 100 {
-			return fmt.Errorf("repeat count %d out of range", repeats)
-		}
-	}
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
-	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
-	l.RLock()
-	tester := vmin.NewTester(cur.domain, 1)
-	res, _, err := tester.Repeat(cur.load, repeats)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %s", replyOK, res.VminV, res.MarginV, res.Outcome)
 }
 
 func (s *Server) cmdSet(w *bufio.Writer, fields []string, set func(*platform.Domain, float64) error) error {

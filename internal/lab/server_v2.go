@@ -14,14 +14,12 @@ import (
 	"repro/internal/vmin"
 )
 
-// Protocol-v2 command handlers. Every reply is a single line (however
+// Backend-layer command handlers. Every reply is a single line (however
 // long) so the client's retry-after-reconnect logic never has to resync a
 // partially delivered multi-line response.
 
-// cmdHello answers the version handshake. The server always reports its
-// own version; the client picks min(client, server). A v1 daemon has no
-// HELLO at all and answers "ERR unknown command", which the client treats
-// as version 1.
+// cmdHello answers the version handshake with the server's own version;
+// the client refuses to proceed unless it matches its own.
 func (s *Server) cmdHello(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: HELLO <version>")
@@ -54,12 +52,9 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 		return err
 	}
 	spec := d.Spec
-	// Lineage-resume measurement cannot cross the wire (checkpoints live in
-	// the target's process), so the remote capability is always 0 even
-	// though the bench behind the daemon supports it locally.
-	return writeLine(w, "%s %d %s %g %g %s %s %d", replyOK,
+	return writeLine(w, "%s %d %s %g %g %s %s", replyOK,
 		spec.TotalCores, spec.ISA, spec.MaxClockHz, spec.ClockStepHz,
-		spec.VoltageVisibility, dsoKindFor(spec.VoltageVisibility), 0)
+		spec.VoltageVisibility, dsoKindFor(spec.VoltageVisibility))
 }
 
 func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
@@ -77,13 +72,11 @@ func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
 	return writeLine(w, "%s %g %g %d", replyOK, clock, supply, powered)
 }
 
-// cmdSweepFull is SWEEP with an explicit sample count and the full point
+// cmdSweepFull runs a whole fast resonance sweep and returns the full point
 // list in the reply, so the workstation can render the same table a local
-// sweep would. This is also the fleet's fallback for pre-v3 rigs that lack
-// SWEEPAT: the whole grid runs here as one core.Bench.SweepBatch campaign
-// (one probe build, one primed trace, one band-prefilter pass), so an
-// unsharded rig pays batch economics and still agrees bit for bit with a
-// sharded layout.
+// sweep would. The grid runs as one core.Bench.SweepBatch campaign (one
+// probe build, one primed trace, one band-prefilter pass), and agrees bit
+// for bit with the same grid sharded point by point over SWEEPAT.
 func (s *Server) cmdSweepFull(w *bufio.Writer, fields []string) error {
 	if len(fields) != 4 {
 		return fmt.Errorf("usage: SWEEPFULL <domain> <cores> <samples>")
@@ -125,7 +118,7 @@ func (s *Server) cmdSweepFull(w *bufio.Writer, fields []string) error {
 }
 
 // cmdSweepAt serves one fast-sweep point at an explicit clock setting —
-// the protocol-v3 primitive behind fleet-sharded sweeps. The point is
+// the primitive behind fleet-sharded sweeps. The point is
 // evaluated through the stateless SweepPointAt path (a single-point
 // SweepBatch), so the domain's live clock setting is untouched, concurrent
 // sessions' points cannot interfere, and the shard agrees bit for bit with
@@ -173,9 +166,10 @@ func (s *Server) cmdSweepAt(w *bufio.Writer, fields []string) error {
 	return writeLine(w, "%s 1 %g %g %g", replyOK, pt.ClockHz, pt.LoopHz, pt.PeakDBm)
 }
 
-// cmdVminFull is VMIN with the workstation's tester seed and the full
-// per-run V_MIN list. The v1 VMIN pinned seed 1; carrying the seed is what
-// lets a remote campaign reproduce a local one bit-for-bit.
+// cmdVminFull runs a repeated V_MIN search of the loaded workload with the
+// workstation's tester seed and returns the full per-run V_MIN list.
+// Carrying the seed is what lets a remote campaign reproduce a local one
+// bit-for-bit.
 func (s *Server) cmdVminFull(sess *session, w *bufio.Writer, fields []string) error {
 	if len(fields) != 3 {
 		return fmt.Errorf("usage: VMINFULL <seed> <repeats>")

@@ -1,476 +1,22 @@
 package uarch
 
-// Lineage-aware checkpointed replay.
-//
-// A GA child bred by one-point crossover and per-gene mutation is identical
-// to its first parent up to the first divergent instruction, so the
-// simulator keeps re-executing prefixes it has already seen. This file
-// snapshots the complete simulator state at fixed instruction boundaries
-// within the first loop iteration — deeper boundaries are useless because
-// the loop wraps and every later dynamic instruction depends on the whole
-// sequence — and stores the snapshots in a content-hash prefix store. A new
-// simulation probes the store deepest-first and resumes from the deepest
-// snapshot whose sequence prefix matches its own, skipping the shared
-// prefix entirely.
-//
-// The bit-identity argument mirrors the trace cache's prefix lemma: the
-// simulator is deterministic and processes the program in fetch order, so
-// its state at the moment instruction j has just been renamed is a pure
-// function of (Config, seq[:j]) — nothing fetched later can influence it
-// (for j within the first iteration, where the cyclic fetch has not yet
-// wrapped). A snapshot captures that state completely (window, rename map,
-// unit reservations, charge difference array, cumulative issue counts,
-// cycle/fetch counters and the split cycle's slot and issue count), so a
-// resumed run replays the remaining instructions into exactly the state a
-// fresh run would have reached, and every downstream value is bit-identical.
-// Checkpoint hits are verified by content comparison against the stored
-// prefix, never by hash alone.
-//
-// Concurrency: the store is a mutex-guarded map with an intrusive LRU list
-// bounded by total snapshot cycles. Store-if-absent under the mutex
-// deduplicates concurrent writers of the same prefix (the whole population
-// shares a handful of elite parents), and entries are immutable once
-// published, so hits need no copying.
+// CheckpointStats, CheckpointStoreStats and ResetCheckpointStore are what
+// remains of the deleted checkpoint store. They exist only because the
+// campaign benchmark (campaignbench/campaign.go) calls them between
+// campaigns and reports their counters; nothing else uses them.
 
-import (
-	"math"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/detrand"
-	"repro/internal/isa"
-)
-
-const (
-	// ckptInterval is the instruction spacing of snapshot boundaries within
-	// the first loop iteration. 16 keeps the store small (at most
-	// len(seq)/16 snapshots per distinct prefix) while landing within a few
-	// instructions of typical GA divergence points.
-	ckptInterval = 16
-	// ckptMaxCycles bounds the total prefix cycles held across snapshots.
-	// A snapshot costs a few hundred words per prefix cycle recorded, so
-	// this is a budget of a few MiB.
-	ckptMaxCycles = 1 << 16
-	// ckptSeenMax bounds the prefix-keys-requested filter (see probe). When
-	// full it is cleared wholesale: the only cost of forgetting is one extra
-	// probe-and-miss before a shared prefix becomes store-eligible again.
-	ckptSeenMax = 1 << 15
-)
-
-// ckptEntry is one stored snapshot: the simulator state immediately after
-// renaming instruction `depth` of any sequence beginning with `prefix`,
-// flat-encoded into a single word slice. Entries are immutable once stored.
-type ckptEntry struct {
-	key    uint64
-	cfg    Config
-	prefix []isa.Inst // the first depth instructions, content-verified on hit
-	depth  int
-	cycles int // cycles covered by the snapshot; the LRU budget unit
-	flat   []uint64
-
-	prev, next *ckptEntry // intrusive LRU list; head = most recently used
-}
-
-type ckptStore struct {
-	mu      sync.Mutex
-	entries map[uint64]*ckptEntry
-	// seen records prefix keys that some earlier simulation probed for.
-	// Snapshots are stored only for prefixes already in seen: a prefix is
-	// snapshot-worthy once a *second* simulation has asked for it, so the
-	// endless stream of never-repeated random sequences a GA evaluates
-	// stores nothing, while a shared parent prefix is stored by the second
-	// child and hit by every later one.
-	seen   map[uint64]struct{}
-	head   *ckptEntry
-	tail   *ckptEntry
-	cycles int
-
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	stored       atomic.Uint64
-	evictions    atomic.Uint64
-	resumedInsts atomic.Uint64
-}
-
-var (
-	globalCkptStore = newCkptStore()
-	ckptOn          atomic.Bool
-)
-
-func init() { ckptOn.Store(true) }
-
-func newCkptStore() *ckptStore {
-	return &ckptStore{
-		entries: make(map[uint64]*ckptEntry),
-		seen:    make(map[uint64]struct{}),
-	}
-}
-
-// Lineage is an optional hint that a sequence shares its first Diverge
-// instructions with a previously simulated one (a GA child's divergence
-// from its parent). It caps how deep the checkpoint store probes; it can
-// never change results, because every checkpoint hit is verified against
-// the candidate's actual prefix content.
-type Lineage struct {
-	Diverge int
-}
-
-// simulate is the single entry point for running the simulator: it probes
-// the checkpoint store, runs the (possibly resumed) simulation, stores any
-// newly crossed boundaries as snapshots, and recycles the sim shell.
-func simulate(cfg *Config, seq []isa.Inst, minSteadyCycles int, lin *Lineage) (*traceHist, error) {
-	s := newSim(cfg, seq, simHint(minSteadyCycles))
-	if ckptOn.Load() && len(seq) >= ckptInterval {
-		st := globalCkptStore
-		s.ckpt = st
-		s.boundaries, s.keys = prefixKeys(cfg, seq, s.boundaries[:0], s.keys[:0])
-		if cap(s.ckptWant) < len(s.boundaries) {
-			s.ckptWant = make([]bool, len(s.boundaries))
-		} else {
-			s.ckptWant = s.ckptWant[:len(s.boundaries)]
-		}
-		maxDepth := len(seq)
-		if lin != nil && lin.Diverge < maxDepth {
-			maxDepth = lin.Diverge
-		}
-		if e := st.probe(cfg, seq, maxDepth, s.boundaries, s.keys, s.ckptWant); e != nil {
-			st.hits.Add(1)
-			st.resumedInsts.Add(uint64(e.depth))
-			s.restore(e)
-		} else {
-			st.misses.Add(1)
-		}
-	}
-	h, err := s.run(minSteadyCycles)
-	s.release()
-	return h, err
-}
-
-// prefixKeys returns the snapshot boundaries for a sequence (multiples of
-// ckptInterval up to its length) and the content hash of each prefix,
-// appending into the caller's (typically pooled) slices. The hash folds the
-// config and the prefix instructions only — deliberately not the sequence
-// length, since the simulator's state after j instructions is identical for
-// any sequence of length >= j sharing that prefix.
-func prefixKeys(cfg *Config, seq []isa.Inst, bounds []int, keys []uint64) ([]int, []uint64) {
-	h := detrand.NewHash()
-	hashCfg(h, cfg)
-	for i, in := range seq {
-		hashInst(h, in)
-		if (i+1)%ckptInterval == 0 {
-			bounds = append(bounds, i+1)
-			keys = append(keys, h.Sum())
-		}
-	}
-	return bounds, keys
-}
-
-// probe returns the deepest stored snapshot matching a prefix of seq, no
-// deeper than maxDepth, bumping it in the LRU order. A key match with
-// different content (hash collision) is skipped, never resumed.
-//
-// As a side effect it fills want: want[i] reports whether this run should
-// store a snapshot when it crosses boundary i. A boundary qualifies only if
-// an earlier simulation already probed for the same prefix (it is in the
-// seen filter) and no entry holds it yet — so snapshot encoding is paid only
-// for prefixes with demonstrated reuse, at the cost of one warm-up miss per
-// shared prefix. Boundaries beyond maxDepth were not requested by anyone
-// and never qualify.
-func (st *ckptStore) probe(cfg *Config, seq []isa.Inst, maxDepth int, bounds []int, keys []uint64, want []bool) *ckptEntry {
-	var hit *ckptEntry
-	st.mu.Lock()
-	for i := len(bounds) - 1; i >= 0; i-- {
-		want[i] = false
-		if bounds[i] > maxDepth {
-			continue
-		}
-		e, present := st.entries[keys[i]]
-		if _, seen := st.seen[keys[i]]; seen {
-			want[i] = !present
-		} else {
-			if len(st.seen) >= ckptSeenMax {
-				clear(st.seen)
-			}
-			st.seen[keys[i]] = struct{}{}
-		}
-		if hit == nil && present &&
-			e.cfg == *cfg && e.depth == bounds[i] && sameSeq(e.prefix, seq[:e.depth]) {
-			st.unlink(e)
-			st.pushFront(e)
-			hit = e
-		}
-	}
-	st.mu.Unlock()
-	return hit
-}
-
-// store inserts a snapshot if its key is absent (concurrent writers of the
-// same prefix collapse to one entry) and evicts least-recently-used entries
-// past the cycle budget, never the entry just inserted.
-func (st *ckptStore) store(e *ckptEntry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.entries[e.key]; dup {
-		return
-	}
-	st.entries[e.key] = e
-	st.pushFront(e)
-	st.cycles += e.cycles
-	st.stored.Add(1)
-	for st.cycles > ckptMaxCycles && st.tail != nil && st.tail != e {
-		ev := st.tail
-		st.unlink(ev)
-		delete(st.entries, ev.key)
-		st.cycles -= ev.cycles
-		st.evictions.Add(1)
-	}
-}
-
-func (st *ckptStore) pushFront(e *ckptEntry) {
-	e.prev, e.next = nil, st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-}
-
-func (st *ckptStore) unlink(e *ckptEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if st.head == e {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if st.tail == e {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// snapshot captures the simulator state immediately after renaming the
-// instruction at the current boundary. fetchSlot is the issue slot the
-// in-progress fetch stage resumes from. Encoding is paid only for
-// boundaries probe marked store-worthy — prefixes some earlier simulation
-// also asked for; stores of racing writers are deduplicated in store.
-func (s *sim) snapshot(fetchSlot int) {
-	if !s.ckptWant[s.nextCk] {
-		return
-	}
-	st := s.ckpt
-	key := s.keys[s.nextCk]
-	depth := s.boundaries[s.nextCk]
-	if s.prefix == nil {
-		// One copy of the deepest boundary's prefix serves every snapshot of
-		// this run; shallower snapshots hold subslices of it.
-		maxB := s.boundaries[len(s.boundaries)-1]
-		s.prefix = append([]isa.Inst(nil), s.seq[:maxB]...)
-	}
-	st.store(&ckptEntry{
-		key:    key,
-		cfg:    *s.cfg,
-		prefix: s.prefix[:depth:depth],
-		depth:  depth,
-		cycles: s.cycle + 1,
-		flat:   encodeSim(s, fetchSlot),
-	})
-}
-
-// encodeSim flattens the sim state into one word slice. Layout: a 9-word
-// header (cycle, fetched, issued, issuedThis, fetchSlot, winLen and the
-// chargeDiff/cumIssued/iterStarts lengths), the rename map, the unit
-// reservations, the window entries oldest-first (7 words each), completeAt
-// (fetched words), then chargeDiff as raw float bits, cumIssued and
-// iterStarts. Ints pass through int64 so -1 sentinels round-trip.
-func encodeSim(s *sim, fetchSlot int) []uint64 {
-	nUnits := 0
-	for u := range s.unitBusyUntil {
-		nUnits += len(s.unitBusyUntil[u])
-	}
-	n := 9 + 2*64 + nUnits + 7*s.winLen + s.fetched +
-		len(s.chargeDiff) + len(s.cumIssued) + len(s.iterStarts)
-	f := make([]uint64, 0, n)
-	put := func(v int) { f = append(f, uint64(int64(v))) }
-	put(s.cycle)
-	put(s.fetched)
-	put(s.issued)
-	put(s.issuedThis)
-	put(fetchSlot)
-	put(s.winLen)
-	put(len(s.chargeDiff))
-	put(len(s.cumIssued))
-	put(len(s.iterStarts))
-	for fi := range s.lastWriter {
-		for _, w := range s.lastWriter[fi] {
-			put(w)
-		}
-	}
-	for u := range s.unitBusyUntil {
-		for _, b := range s.unitBusyUntil[u] {
-			put(b)
-		}
-	}
-	for i := 0; i < s.winLen; i++ {
-		e := &s.win[(s.winHead+i)&s.winMask]
-		put(e.d.pos)
-		put(e.dyn)
-		put(e.prods[0])
-		put(e.prods[1])
-		put(e.prods[2])
-		put(e.readyAt)
-		flags := uint64(e.nProds)
-		if e.issued {
-			flags |= 1 << 8
-		}
-		f = append(f, flags)
-	}
-	for _, c := range s.completeAt {
-		put(c)
-	}
-	for _, q := range s.chargeDiff {
-		f = append(f, math.Float64bits(q))
-	}
-	for _, c := range s.cumIssued {
-		f = append(f, uint64(c))
-	}
-	for _, c := range s.iterStarts {
-		put(c)
-	}
-	return f
-}
-
-// restore loads a snapshot into a freshly initialized sim, rebuilding the
-// window (re-based to slot 0) and the unissued chain, and positions the
-// boundary cursor past the resumed depth.
-func (s *sim) restore(e *ckptEntry) {
-	f := e.flat
-	idx := 0
-	geti := func() int { v := int64(f[idx]); idx++; return int(v) }
-	s.cycle = geti()
-	s.fetched = geti()
-	s.issued = geti()
-	s.resumeIssued = geti()
-	s.resumeSlot = geti()
-	s.issuedThis = s.resumeIssued
-	winLen := geti()
-	nCharge := geti()
-	nCum := geti()
-	nIter := geti()
-	for fi := range s.lastWriter {
-		lw := s.lastWriter[fi]
-		for i := range lw {
-			lw[i] = geti()
-		}
-	}
-	for u := range s.unitBusyUntil {
-		b := s.unitBusyUntil[u]
-		for i := range b {
-			b[i] = geti()
-		}
-	}
-	s.winHead, s.winLen = 0, winLen
-	s.unissuedHead, s.unissuedTail = -1, -1
-	for i := 0; i < winLen; i++ {
-		en := &s.win[i]
-		en.d = &s.dec[geti()]
-		en.dyn = geti()
-		en.prods[0] = geti()
-		en.prods[1] = geti()
-		en.prods[2] = geti()
-		en.readyAt = geti()
-		flags := f[idx]
-		idx++
-		en.nProds = int(flags & 0xff)
-		en.issued = flags&(1<<8) != 0
-		if !en.issued {
-			s.unissuedNext[i] = -1
-			if s.unissuedTail >= 0 {
-				s.unissuedNext[s.unissuedTail] = int32(i)
-			} else {
-				s.unissuedHead = int32(i)
-			}
-			s.unissuedTail = int32(i)
-		}
-	}
-	for i := 0; i < s.fetched; i++ {
-		s.completeAt = append(s.completeAt, geti())
-	}
-	for i := 0; i < nCharge; i++ {
-		s.chargeDiff = append(s.chargeDiff, math.Float64frombits(f[idx]))
-		idx++
-	}
-	for i := 0; i < nCum; i++ {
-		s.cumIssued = append(s.cumIssued, int64(f[idx]))
-		idx++
-	}
-	for i := 0; i < nIter; i++ {
-		s.iterStarts = append(s.iterStarts, geti())
-	}
-	s.nextCk = 0
-	for s.nextCk < len(s.boundaries) && s.boundaries[s.nextCk] <= e.depth {
-		s.nextCk++
-	}
-}
-
-// CheckpointStats is a snapshot of the checkpoint store counters. Hits and
-// Misses count probing simulations; MeanResumeDepth is the average number
-// of instructions a hit skipped re-executing.
+// CheckpointStats holds the counters the campaign benchmark reads. They are
+// always zero.
 type CheckpointStats struct {
 	Hits            uint64
 	Misses          uint64
-	Stored          uint64
-	Evictions       uint64
-	Entries         int
-	Cycles          int
 	MeanResumeDepth float64
 }
 
-// CheckpointStoreStats returns the global checkpoint store counters.
-func CheckpointStoreStats() CheckpointStats {
-	st := globalCkptStore
-	st.mu.Lock()
-	entries, cycles := len(st.entries), st.cycles
-	st.mu.Unlock()
-	cs := CheckpointStats{
-		Hits:      st.hits.Load(),
-		Misses:    st.misses.Load(),
-		Stored:    st.stored.Load(),
-		Evictions: st.evictions.Load(),
-		Entries:   entries,
-		Cycles:    cycles,
-	}
-	if cs.Hits > 0 {
-		cs.MeanResumeDepth = float64(st.resumedInsts.Load()) / float64(cs.Hits)
-	}
-	return cs
-}
+// CheckpointStoreStats returns zero counters. It exists only because
+// campaignbench/campaign.go calls it.
+func CheckpointStoreStats() CheckpointStats { return CheckpointStats{} }
 
-// SetCheckpointsEnabled turns checkpointed replay on or off (it is on by
-// default) and returns the previous setting. Results are bit-identical
-// either way; disabling exists for benchmarks and determinism tests.
-func SetCheckpointsEnabled(on bool) (prev bool) {
-	return ckptOn.Swap(on)
-}
-
-// CheckpointsEnabled reports whether simulations use the checkpoint store.
-func CheckpointsEnabled() bool { return ckptOn.Load() }
-
-// ResetCheckpointStore drops all snapshots, the prefix-reuse filter and the
-// counters.
-func ResetCheckpointStore() {
-	st := globalCkptStore
-	st.mu.Lock()
-	st.entries = make(map[uint64]*ckptEntry)
-	st.seen = make(map[uint64]struct{})
-	st.head, st.tail = nil, nil
-	st.cycles = 0
-	st.mu.Unlock()
-	st.hits.Store(0)
-	st.misses.Store(0)
-	st.stored.Store(0)
-	st.evictions.Store(0)
-	st.resumedInsts.Store(0)
-}
+// ResetCheckpointStore does nothing. It exists only because
+// campaignbench/campaign.go calls it.
+func ResetCheckpointStore() {}
