@@ -244,25 +244,32 @@ func decodeFrame(buf []byte, version uint16, key uint64) ([]byte, frameStatus) {
 // a miss. A corrupt entry is quarantined and reads as a miss; a hit
 // re-touches the entry's mtime so GC approximates LRU.
 func (s *Store) Get(ns string, version uint16, key uint64) ([]byte, bool) {
+	payload, ok := s.load(ns, version, key)
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return payload, ok
+}
+
+// load is Get without the hit/miss accounting.
+func (s *Store) load(ns string, version uint16, key uint64) ([]byte, bool) {
 	path := s.entryPath(ns, key)
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		s.misses.Add(1)
 		return nil, false
 	}
 	payload, st := decodeFrame(buf, version, key)
 	switch st {
 	case frameCorrupt:
 		s.quarantine(path, int64(len(buf)))
-		s.misses.Add(1)
 		return nil, false
 	case frameStale:
-		s.misses.Add(1)
 		return nil, false
 	}
 	now := time.Now()
 	_ = os.Chtimes(path, now, now) // best-effort LRU touch
-	s.hits.Add(1)
 	return payload, true
 }
 
@@ -326,8 +333,12 @@ func (s *Store) Do(ns string, version uint16, key uint64, compute func() ([]byte
 	s.flight[k] = c
 	s.flightMu.Unlock()
 
-	c.payload, c.err = compute()
-	if c.err == nil {
+	// A flight for this key may have landed between the Get above and
+	// taking the slot. Its owner publishes before releasing the slot, so
+	// its entry is on disk by now: look again before computing.
+	if payload, ok := s.load(ns, version, key); ok {
+		c.payload = payload
+	} else if c.payload, c.err = compute(); c.err == nil {
 		_ = s.Put(ns, version, key, c.payload)
 	}
 	s.flightMu.Lock()

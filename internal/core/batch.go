@@ -260,8 +260,16 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, seqs [][]isa.Inst, activeCore
 		used[w].Store(true)
 		ar := arenas[w]
 		ar.Reset()
+		// The sweep batch's arena-only evaluator at the batch's snapshot:
+		// every row, the amplitude outputs included, lives in the worker's
+		// arena and nothing is installed in the domain's spectra memo (the
+		// measurement memo above already absorbs repeats).
 		l := platform.Load{Seq: seqs[i], ActiveCores: activeCores}
-		freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, ar)
+		pe, err := d.PreparePointAt(l, b.Dt, b.N, clock, nil)
+		if err != nil {
+			return err
+		}
+		freqs, _, iAmp, err := pe.SpectraArena(supply, powered, ar)
 		if err != nil {
 			return err
 		}

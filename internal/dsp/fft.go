@@ -81,21 +81,59 @@ func fftRadix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
+	fftStages(x, inverse)
+}
+
+// fftStages runs the butterfly stages of a radix-2 FFT over x, which must
+// already hold its input in bit-reversed order (len(x) a power of two).
+//
+// Stages run in fused pairs: one pass over the data applies stage s and
+// stage 2s to four elements held in registers — the two size-s butterflies
+// (k, k+s/2) and (k+s, k+3s/2) with twiddle w_s^k, then the two size-2s
+// butterflies (k, k+s) with w_2s^k and (k+s/2, k+3s/2) with w_2s^(k+s/2).
+// Every butterfly reads the same operands and twiddle and runs the same
+// arithmetic as the one-stage-per-pass loop; only the interleaving of
+// independent butterflies changes, so the output is bit-identical while
+// the data crosses the cache half as often. An odd stage count leaves the
+// size-2 stage to run alone first.
+func fftStages(x []complex128, inverse bool) {
+	n := len(x)
+	size := 2
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		w := stageTwiddles(2, inverse)[0]
+		for i := 1; i < n; i += 2 {
+			a := x[i-1]
+			b := x[i] * w
+			x[i-1] = a + b
+			x[i] = a - b
+		}
+		size = 4
+	}
+	for ; size < n; size <<= 2 {
 		half := size >> 1
-		tw := stageTwiddles(size, inverse)[:half]
-		for start := 0; start < n; start += size {
-			// Split the block into its two halves so the inner loop indexes
-			// three equal-length slices by k alone; the compiler then proves
-			// every access in bounds and drops the checks. The butterfly
-			// arithmetic is unchanged operation for operation.
-			lo := x[start : start+half : start+half]
-			hi := x[start+half : start+size : start+size]
-			for k := range tw {
-				a := lo[k]
-				b := hi[k] * tw[k]
-				lo[k] = a + b
-				hi[k] = a - b
+		t1 := stageTwiddles(size, inverse)[:half]
+		t2 := stageTwiddles(2*size, inverse)[:size]
+		t2lo := t2[:half:half]
+		t2hi := t2[half:size:size]
+		for start := 0; start < n; start += 2 * size {
+			// Six slices re-cut to one length and indexed by k alone let the
+			// compiler drop every bounds check in the inner loop.
+			q0 := x[start : start+half : start+half]
+			q1 := x[start+half : start+size : start+size][:len(q0)]
+			q2 := x[start+size : start+size+half : start+size+half][:len(q0)]
+			q3 := x[start+size+half : start+2*size : start+2*size][:len(q0)]
+			t1, t2lo, t2hi := t1[:len(q0)], t2lo[:len(q0)], t2hi[:len(q0)]
+			for k := range q0 {
+				w1 := t1[k]
+				a0, a1, a2, a3 := q0[k], q1[k], q2[k], q3[k]
+				b := a1 * w1
+				a0, a1 = a0+b, a0-b
+				b = a3 * w1
+				a2, a3 = a2+b, a2-b
+				b = a2 * t2lo[k]
+				q0[k], q2[k] = a0+b, a0-b
+				b = a3 * t2hi[k]
+				q1[k], q3[k] = a1+b, a1-b
 			}
 		}
 	}

@@ -19,17 +19,24 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"sync"
 )
 
 // rfftPlan caches the length-dependent setup for a real transform of length
-// n: the untangle twiddles w^k (k = 0..n/2) and a scratch pool for the
+// n: the untangle twiddles w^k (k = 0..n/2), the bit-reversal table of the
+// n/2-point core when that is a power of two, and a scratch pool for the
 // packed n/2-point work buffer.
 type rfftPlan struct {
-	n       int
-	w       []complex128 // w[k] = exp(-2πi·k/n), read-only
-	scratch sync.Pool    // *[]complex128 of length n/2
+	n int
+	w []complex128 // w[k] = exp(-2πi·k/n), read-only
+	// rev[i] is i bit-reversed over log2(n/2) bits: slot i of the packed
+	// input takes sample pair rev[i], already in the order the radix-2
+	// stages expect, so no swap pass runs. Nil when n/2 is not a power of
+	// two (Bluestein core).
+	rev     []int32
+	scratch sync.Pool // *[]complex128 of length n/2
 }
 
 var (
@@ -84,6 +91,13 @@ func rfftPlanFor(n int) *rfftPlan {
 		w[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
 	}
 	p = &rfftPlan{n: n, w: w}
+	if m&(m-1) == 0 {
+		p.rev = make([]int32, m)
+		shift := 64 - uint(bits.TrailingZeros(uint(m)))
+		for j := range p.rev {
+			p.rev[j] = int32(bits.Reverse64(uint64(j)) >> shift)
+		}
+	}
 	p.scratch.New = func() any {
 		buf := make([]complex128, m)
 		return &buf
@@ -100,20 +114,29 @@ func rfftPlanFor(n int) *rfftPlan {
 
 // rfftEven is the even-length transform core shared by RFFT and RFFTInto:
 // pack x into the m-point work buffer z, transform, untangle into out
-// (length m+1). The untangle loop is written without the modular indexing of
-// the textbook formulation — bins 0 and m both read Z[0], interior bins read
-// Z[k] and Z[m-k] directly — with arithmetic identical operation for
-// operation, so the results are bit-identical.
+// (length m+1). A power-of-two core packs straight into bit-reversed
+// slots and runs only the butterfly stages — the same values in the same
+// slots the swap pass would produce. The untangle loop is written without
+// the modular indexing of the textbook formulation — bins 0 and m both
+// read Z[0], interior bins read Z[k] and Z[m-k] directly — with arithmetic
+// identical operation for operation, so the results are bit-identical.
 func rfftEven(out []complex128, x []float64, z []complex128, p *rfftPlan) {
 	m := len(x) / 2
-	for j := 0; j < m; j++ {
-		z[j] = complex(x[2*j], x[2*j+1])
-	}
-	Z := z
-	if m&(m-1) == 0 {
-		fftRadix2(Z, false)
+	var Z []complex128
+	if rev := p.rev; rev != nil {
+		// rev is an involution, so gathering pair rev[i] into slot i fills
+		// the same slots as scattering pair j into slot rev[j], with
+		// sequential writes.
+		Z = z[:len(rev)]
+		for i, r := range rev {
+			Z[i] = complex(x[2*r], x[2*r+1])
+		}
+		fftStages(Z, false)
 	} else {
-		Z = bluestein(Z, false)
+		for j := 0; j < m; j++ {
+			z[j] = complex(x[2*j], x[2*j+1])
+		}
+		Z = bluestein(z, false)
 	}
 	w := p.w
 	z0 := Z[0]
@@ -213,31 +236,52 @@ func IRFFT(spec []complex128, n int) []float64 {
 		}
 		return out
 	}
-	m := n / 2
 	p := rfftPlanFor(n)
 	zptr := p.scratch.Get().(*[]complex128)
-	z := *zptr
-	for k := 0; k < m; k++ {
-		xk := spec[k]
-		xmk := cmplx.Conj(spec[m-k])
-		e := (xk + xmk) * 0.5
-		o := (xk - xmk) * 0.5 * cmplx.Conj(p.w[k])
-		z[k] = e + complex(0, 1)*o
+	out := make([]float64, n)
+	irfftEven(out, spec, *zptr, p)
+	p.scratch.Put(zptr)
+	return out
+}
+
+// irfftEven is the even-length inverse core shared by IRFFT and IRFFTInto:
+// untangle spec into the m-point work buffer z (gathered into bit-reversed
+// slots for a power-of-two core, as in rfftEven), inverse-transform, and
+// deinterleave into out (length n) with the 1/m normalization.
+func irfftEven(out []float64, spec, z []complex128, p *rfftPlan) {
+	m := len(out) / 2
+	z = z[:m]
+	rev := p.rev
+	if rev != nil {
+		for i, k := range rev {
+			z[i] = untangleInv(spec, p.w, m, int(k))
+		}
+	} else {
+		for k := range z {
+			z[k] = untangleInv(spec, p.w, m, k)
+		}
 	}
 	Z := z
-	if m&(m-1) == 0 {
-		fftRadix2(Z, true)
+	if rev != nil {
+		fftStages(z, true)
 	} else {
-		Z = bluestein(Z, true)
+		Z = bluestein(z, true)
 	}
-	out := make([]float64, n)
 	inv := 1 / float64(m)
 	for j := 0; j < m; j++ {
 		out[2*j] = real(Z[j]) * inv
 		out[2*j+1] = imag(Z[j]) * inv
 	}
-	p.scratch.Put(zptr)
-	return out
+}
+
+// untangleInv recombines bins k and m−k of a real signal's half spectrum
+// into entry k of the packed m-point inverse input: E + i·O.
+func untangleInv(spec, w []complex128, m, k int) complex128 {
+	xk := spec[k]
+	xmk := cmplx.Conj(spec[m-k])
+	e := (xk + xmk) * 0.5
+	o := (xk - xmk) * 0.5 * cmplx.Conj(w[k])
+	return e + complex(0, 1)*o
 }
 
 // IRFFTInto is IRFFT writing the time-domain signal into dst — len(dst)
@@ -267,26 +311,7 @@ func IRFFTInto(dst []float64, spec []complex128, n int, scratch []complex128) []
 	if len(scratch) < m {
 		panic(fmt.Sprintf("dsp: IRFFTInto scratch of %d for length %d (want %d)", len(scratch), n, m))
 	}
-	p := rfftPlanFor(n)
-	z := scratch[:m]
-	for k := 0; k < m; k++ {
-		xk := spec[k]
-		xmk := cmplx.Conj(spec[m-k])
-		e := (xk + xmk) * 0.5
-		o := (xk - xmk) * 0.5 * cmplx.Conj(p.w[k])
-		z[k] = e + complex(0, 1)*o
-	}
-	Z := z
-	if m&(m-1) == 0 {
-		fftRadix2(Z, true)
-	} else {
-		Z = bluestein(Z, true)
-	}
-	inv := 1 / float64(m)
-	for j := 0; j < m; j++ {
-		dst[2*j] = real(Z[j]) * inv
-		dst[2*j+1] = imag(Z[j]) * inv
-	}
+	irfftEven(dst, spec, scratch, rfftPlanFor(n))
 	return dst
 }
 

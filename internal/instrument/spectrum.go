@@ -167,12 +167,16 @@ type freqVote struct {
 }
 
 // peakScratch carries MeasurePeak's per-call accumulators — the re-binned
-// power buffer, the per-sweep peaks, and the peak-bin votes — between
-// calls, so a sweep campaign's measurement loop allocates only its
-// Measurement. The acc buffer grows monotonically toward the widest band
-// measured, after which every call reuses it.
+// power buffer, the in-band bins' bounds and per-sweep noise draws, the
+// per-sweep peaks, and the peak-bin votes — between calls, so a sweep
+// campaign's measurement loop allocates only its Measurement. Every buffer
+// grows monotonically toward the widest band measured, after which every
+// call reuses it.
 type peakScratch struct {
 	acc   []float64
+	ub    []float64 // per in-band bin: noise-independent dBm upper bound
+	us    []float64 // per in-band bin: this sweep's floor-noise draw u
+	gs    []float64 // per in-band bin: this sweep's dB noise g·σ
 	peaks []float64
 	votes []freqVote
 }
@@ -186,6 +190,19 @@ func (sc *peakScratch) accFor(n int) []float64 {
 	clear(sc.acc)
 	return sc.acc
 }
+
+// grow returns buf resized to n, reallocating only when it is too short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// pruneMarginDB pads each bin's dBm upper bound so it dominates the exact
+// reading even where math.Log10 is not perfectly monotone (an error of a
+// few ulps — under 1e-12 dB across the whole float64 power range).
+const pruneMarginDB = 1e-6
 
 var peakScratchPool = sync.Pool{New: func() any { return new(peakScratch) }}
 
@@ -245,39 +262,84 @@ func (sa *SpectrumAnalyzer) MeasurePeak(freqs, watts []float64, lo, hi float64, 
 	// upper edge — whose draws come after every in-band draw — can be
 	// skipped outright (the rebin never even accumulates them), and bins
 	// below the lower edge consume their two draws but skip the dBm
-	// conversion.
+	// conversion. In-band bins convert only when they can win (below).
 	nBins := sa.nBins()
 	bLimit := 0
 	for bLimit < nBins && sa.StartHz+(float64(bLimit)+0.5)*sa.RBWHz <= hi {
 		bLimit++
 	}
+	// Bin centres rise with the bin index, so the bins at or above lo are a
+	// suffix [bLo, bLimit) of the banded grid.
+	bLo := 0
+	for bLo < bLimit && sa.StartHz+(float64(bLo)+0.5)*sa.RBWHz < lo {
+		bLo++
+	}
 	sc := peakScratchPool.Get().(*peakScratch)
 	acc := sc.accFor(bLimit) // noise-independent; shared by all samples
 	sa.rebinInto(acc, freqs, watts)
 	floor := dsp.FromDBm(sa.NoiseFloorDBm)
+	sigma := sa.NoiseSigmaDB
+
+	// Pruned peak search. A bin's reading is DBm(acc+floor·(0.5+u)) + g·σ
+	// with u in [0, 1), so ub = DBm(acc+1.5·floor) + margin bounds the dBm
+	// term from above for every draw, and ub + g·σ bounds the reading (each
+	// rounded step is monotone). Each sweep draws every bin's (u, g) in the
+	// stream's bin order, reads the bin with the largest bound exactly as a
+	// threshold, and converts only the bins whose bound reaches it: a bin
+	// whose bound falls short reads strictly below the sweep's maximum, so
+	// the winning bin, its tie-breaking and the out-of-band error are those
+	// of the full per-bin scan. NaN bounds never fall short, so they are
+	// always read exactly.
+	inBand := acc[bLo:]
+	ub := grow(sc.ub, len(inBand))
+	us := grow(sc.us, len(inBand))
+	gs := grow(sc.gs, len(inBand))
+	sc.ub, sc.us, sc.gs = ub, us, gs
+	ceil := floor * 1.5
+	for i, a := range inBand {
+		ub[i] = dsp.DBm(a+ceil) + pruneMarginDB
+	}
 	peaks := sc.peaks[:0]
 	votes := sc.votes[:0]
 	for s := 0; s < samples; s++ {
 		rng := detrand.PooledStream(sa.seed, h, uint64(s))
-		peakF, peakDBm, ok := 0.0, math.Inf(-1), false
-		for b := 0; b < len(acc); b++ {
-			f := sa.StartHz + (float64(b)+0.5)*sa.RBWHz
-			u := rng.Float64()
-			g := rng.NormFloat64()
-			if f < lo {
+		for b := 0; b < bLo; b++ {
+			// Bins below the band consume their two draws unread.
+			rng.Float64()
+			rng.NormFloat64()
+		}
+		top, topBound := -1, math.Inf(-1)
+		for i := range ub {
+			us[i] = rng.Float64()
+			gs[i] = rng.NormFloat64() * sigma
+			if bd := ub[i] + gs[i]; bd > topBound {
+				top, topBound = i, bd
+			}
+		}
+		thr := math.Inf(-1)
+		if top >= 0 {
+			thr = dsp.DBm(inBand[top]+floor*(0.5+us[top])) + gs[top]
+		}
+		peakI, peakDBm := -1, math.Inf(-1)
+		for i := range ub {
+			if i != top && ub[i]+gs[i] < thr {
 				continue
 			}
-			dbm := dsp.DBm(acc[b]+floor*(0.5+u)) + g*sa.NoiseSigmaDB
+			dbm := thr
+			if i != top {
+				dbm = dsp.DBm(inBand[i]+floor*(0.5+us[i])) + gs[i]
+			}
 			if dbm > peakDBm {
-				peakF, peakDBm, ok = f, dbm, true
+				peakI, peakDBm = i, dbm
 			}
 		}
 		detrand.Recycle(rng)
-		if !ok {
+		if peakI < 0 {
 			sc.peaks, sc.votes = peaks, votes
 			peakScratchPool.Put(sc)
 			return nil, fmt.Errorf("instrument: band [%v, %v] outside analyzer span", lo, hi)
 		}
+		peakF := sa.StartHz + (float64(bLo+peakI)+0.5)*sa.RBWHz
 		peaks = append(peaks, peakDBm)
 		voted := false
 		for i := range votes {

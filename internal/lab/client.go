@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ga"
@@ -56,11 +57,31 @@ func (o Options) withDefaults() Options {
 // workload. It is replayed verbatim after every reconnect, so a mid-cycle
 // connection drop (say between RUN and MEASURE) is invisible to callers.
 type sessionState struct {
+	sp   *setpoints
+	load *loadState
+	run  bool
+}
+
+// setpoints records the domain setpoints (SETCLOCK/SETVOLTS/SETCORES, less
+// any RESET) established on the target. Setpoints are domain state on the
+// target, shared by every session, so a Pool hands one record to all its
+// clients: a RESET through one session then clears what another would
+// replay after a reconnect. The mutex is held across a setpoint command's
+// exchange and record and across a replay, so a replay observes each
+// setpoint change entirely before or entirely after it reaches the target.
+type setpoints struct {
+	mu     sync.Mutex
 	clocks map[string]float64
 	volts  map[string]float64
 	cores  map[string]int
-	load   *loadState
-	run    bool
+}
+
+func newSetpoints() *setpoints {
+	return &setpoints{
+		clocks: make(map[string]float64),
+		volts:  make(map[string]float64),
+		cores:  make(map[string]int),
+	}
 }
 
 type loadState struct {
@@ -96,14 +117,15 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // DialOptions connects to a lab daemon with explicit resilience options.
 func DialOptions(addr string, opts Options) (*Client, error) {
+	return dialShared(addr, opts, newSetpoints())
+}
+
+// dialShared connects a client that records its setpoints in sp.
+func dialShared(addr string, opts Options, sp *setpoints) (*Client, error) {
 	c := &Client{
-		addr: addr,
-		opts: opts.withDefaults(),
-		state: sessionState{
-			clocks: make(map[string]float64),
-			volts:  make(map[string]float64),
-			cores:  make(map[string]int),
-		},
+		addr:  addr,
+		opts:  opts.withDefaults(),
+		state: sessionState{sp: sp},
 	}
 	if err := c.connect(false); err != nil {
 		return nil, err
@@ -159,13 +181,16 @@ func (c *Client) Stats() Stats { return c.stats.snapshot() }
 
 // command is one protocol exchange: a request line, an optional body (the
 // LOAD program text), a payload parser run on the OK reply, and a recorder
-// that captures the session-state effect of a successful execution.
+// that captures the session-state effect of a successful execution
+// (record for the per-session workload slot, setpoint for the shared
+// setpoint record — see exchangeSetpoint).
 type command struct {
-	verb   string
-	line   string
-	body   string
-	parse  func(payload string) error
-	record func(st *sessionState)
+	verb     string
+	line     string
+	body     string
+	parse    func(payload string) error
+	record   func(st *sessionState)
+	setpoint func(sp *setpoints)
 }
 
 // do runs one command through the resilience loop: attempt, classify,
@@ -197,7 +222,13 @@ func (c *Client) attemptLoop(cmd command) error {
 				continue
 			}
 		}
-		payload, err := c.exchange(cmd)
+		var payload string
+		var err error
+		if cmd.setpoint != nil {
+			payload, err = c.exchangeSetpoint(cmd)
+		} else {
+			payload, err = c.exchange(cmd)
+		}
 		if err == nil {
 			if cmd.parse != nil {
 				if perr := cmd.parse(payload); perr != nil {
@@ -265,6 +296,19 @@ func (c *Client) exchange(cmd command) (string, error) {
 	return payload, nil
 }
 
+// exchangeSetpoint is exchange for a setpoint command: the exchange and,
+// on success, the record update both run under the setpoint record's lock.
+func (c *Client) exchangeSetpoint(cmd command) (string, error) {
+	sp := c.state.sp
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	payload, err := c.exchange(cmd)
+	if err == nil {
+		cmd.setpoint(sp)
+	}
+	return payload, err
+}
+
 // reconnect re-dials and replays the recorded session state so the fresh
 // connection is indistinguishable from the broken one: per-domain
 // SETCORES/SETCLOCK/SETVOLTS, then LOAD, then RUN if a workload was
@@ -282,28 +326,18 @@ func (c *Client) reconnect() error {
 
 func (c *Client) replay() error {
 	st := &c.state
-	if len(st.cores) == 0 && len(st.clocks) == 0 && len(st.volts) == 0 &&
+	sp := st.sp
+	sp.mu.Lock()
+	if len(sp.cores) == 0 && len(sp.clocks) == 0 && len(sp.volts) == 0 &&
 		st.load == nil {
+		sp.mu.Unlock()
 		return nil
 	}
 	c.stats.replay()
-	for _, dom := range sortedKeys(st.cores) {
-		if _, err := c.exchange(command{verb: "SETCORES",
-			line: fmt.Sprintf("SETCORES %s %d", dom, st.cores[dom])}); err != nil {
-			return err
-		}
-	}
-	for _, dom := range sortedKeys(st.clocks) {
-		if _, err := c.exchange(command{verb: "SETCLOCK",
-			line: fmt.Sprintf("SETCLOCK %s %g", dom, st.clocks[dom])}); err != nil {
-			return err
-		}
-	}
-	for _, dom := range sortedKeys(st.volts) {
-		if _, err := c.exchange(command{verb: "SETVOLTS",
-			line: fmt.Sprintf("SETVOLTS %s %g", dom, st.volts[dom])}); err != nil {
-			return err
-		}
+	err := c.replaySetpointsLocked()
+	sp.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	if st.load != nil {
 		if _, err := c.exchange(command{
@@ -317,6 +351,31 @@ func (c *Client) replay() error {
 			if _, err := c.exchange(command{verb: "RUN", line: "RUN"}); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// replaySetpointsLocked re-sends the recorded setpoints; the caller holds
+// the record's lock.
+func (c *Client) replaySetpointsLocked() error {
+	sp := c.state.sp
+	for _, dom := range sortedKeys(sp.cores) {
+		if _, err := c.exchange(command{verb: "SETCORES",
+			line: fmt.Sprintf("SETCORES %s %d", dom, sp.cores[dom])}); err != nil {
+			return err
+		}
+	}
+	for _, dom := range sortedKeys(sp.clocks) {
+		if _, err := c.exchange(command{verb: "SETCLOCK",
+			line: fmt.Sprintf("SETCLOCK %s %g", dom, sp.clocks[dom])}); err != nil {
+			return err
+		}
+	}
+	for _, dom := range sortedKeys(sp.volts) {
+		if _, err := c.exchange(command{verb: "SETVOLTS",
+			line: fmt.Sprintf("SETVOLTS %s %g", dom, sp.volts[dom])}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -410,27 +469,27 @@ func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
 // SetClock adjusts the target's DVFS point.
 func (c *Client) SetClock(domain string, hz float64) error {
 	return c.do(command{
-		verb:   "SETCLOCK",
-		line:   fmt.Sprintf("SETCLOCK %s %g", domain, hz),
-		record: func(st *sessionState) { st.clocks[domain] = hz },
+		verb:     "SETCLOCK",
+		line:     fmt.Sprintf("SETCLOCK %s %g", domain, hz),
+		setpoint: func(sp *setpoints) { sp.clocks[domain] = hz },
 	})
 }
 
 // SetVolts adjusts the target's supply setpoint.
 func (c *Client) SetVolts(domain string, v float64) error {
 	return c.do(command{
-		verb:   "SETVOLTS",
-		line:   fmt.Sprintf("SETVOLTS %s %g", domain, v),
-		record: func(st *sessionState) { st.volts[domain] = v },
+		verb:     "SETVOLTS",
+		line:     fmt.Sprintf("SETVOLTS %s %g", domain, v),
+		setpoint: func(sp *setpoints) { sp.volts[domain] = v },
 	})
 }
 
 // SetCores power-gates cores on the target.
 func (c *Client) SetCores(domain string, n int) error {
 	return c.do(command{
-		verb:   "SETCORES",
-		line:   fmt.Sprintf("SETCORES %s %d", domain, n),
-		record: func(st *sessionState) { st.cores[domain] = n },
+		verb:     "SETCORES",
+		line:     fmt.Sprintf("SETCORES %s %d", domain, n),
+		setpoint: func(sp *setpoints) { sp.cores[domain] = n },
 	})
 }
 
@@ -439,10 +498,10 @@ func (c *Client) Reset(domain string) error {
 	return c.do(command{
 		verb: "RESET",
 		line: "RESET " + domain,
-		record: func(st *sessionState) {
-			delete(st.clocks, domain)
-			delete(st.volts, domain)
-			delete(st.cores, domain)
+		setpoint: func(sp *setpoints) {
+			delete(sp.clocks, domain)
+			delete(sp.volts, domain)
+			delete(sp.cores, domain)
 		},
 	})
 }

@@ -15,7 +15,10 @@ import (
 // serializing on one stateful connection. Every client carries the full
 // resilience envelope (deadlines, retry, reconnect, replay), and because
 // the daemon's workload slot is per session, interleaved LOAD/RUN/MEASURE
-// cycles from different clients cannot clobber each other.
+// cycles from different clients cannot clobber each other. Domain
+// setpoints are shared target state, so the clients share one setpoint
+// record: what any session replays after a reconnect is the pool's latest
+// view, RESETs through other sessions included.
 type Pool struct {
 	free chan *Client
 	// done is closed by Close before the free channel is drained, so a Do
@@ -36,8 +39,9 @@ func NewPool(addr string, size int, opts Options) (*Pool, error) {
 		size = 1
 	}
 	p := &Pool{free: make(chan *Client, size), done: make(chan struct{})}
+	sp := newSetpoints() // one target, one set of domain setpoints
 	for i := 0; i < size; i++ {
-		c, err := DialOptions(addr, opts)
+		c, err := dialShared(addr, opts, sp)
 		if err != nil {
 			_ = p.Close()
 			return nil, fmt.Errorf("lab: pool client %d: %w", i, err)

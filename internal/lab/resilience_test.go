@@ -469,3 +469,109 @@ func TestPoolChaosGAMatchesDirect(t *testing.T) {
 	t.Logf("chaos: %+v; transport: %d dials, %d reconnects, %d replays",
 		cs, st.Dials, st.Reconnects, st.Replays)
 }
+
+// TestPoolResetClearsReplayChaos: a domain's setpoints live on the target,
+// not in one session, so the pool keeps one setpoint record for all its
+// clients. A clock set through session A and reset through session B must
+// not come back when A's connection drops and A replays its state: after
+// the reconnect, A must read the nominal clock.
+func TestPoolResetClearsReplayChaos(t *testing.T) {
+	addr, _ := startServer(t)
+	pool, err := NewPool(addr, 2, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	a, b := pool.clients[0], pool.clients[1]
+
+	nominal, err := a.State(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetClock(platform.DomainA72, 600e6); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := b.State(platform.DomainA72); err != nil || st.ClockHz == nominal.ClockHz {
+		t.Fatalf("session B reads clock %v (err %v) after SETCLOCK through A; want the new setpoint", st, err)
+	}
+	if err := b.Reset(platform.DomainA72); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sever A's connection: its next command reconnects and replays.
+	_ = a.conn.Close()
+	st, err := a.State(platform.DomainA72)
+	if err != nil {
+		t.Fatalf("STATE after severed connection: %v", err)
+	}
+	if a.Stats().Reconnects < 1 {
+		t.Fatal("session A never reconnected")
+	}
+	if st.ClockHz != nominal.ClockHz {
+		t.Fatalf("session A replayed a stale clock: %v Hz after RESET, want nominal %v Hz", st.ClockHz, nominal.ClockHz)
+	}
+}
+
+// TestPoolSetpointsConcurrentChaos drives the shared setpoint record from
+// every pooled session at once — setpoint writes, resets and severed
+// connections whose replays race them — and then checks the record and
+// the target agree: after a final RESET, every session reconnects onto
+// the nominal clock. Run under -race by `make chaos`.
+func TestPoolSetpointsConcurrentChaos(t *testing.T) {
+	addr, _ := startServer(t)
+	pool, err := NewPool(addr, 4, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var nominal *RemoteState
+	if err := pool.Do(func(c *Client) (err error) {
+		nominal, err = c.State(platform.DomainA72)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			var err error
+			for i := 0; i < 20 && err == nil; i++ {
+				err = pool.Do(func(c *Client) error {
+					switch (g + i) % 4 {
+					case 0:
+						return c.SetClock(platform.DomainA72, 600e6)
+					case 1:
+						return c.Reset(platform.DomainA72)
+					case 2:
+						_ = c.conn.Close() // the next command reconnects and replays
+						return nil
+					default:
+						_, err := c.State(platform.DomainA72)
+						return err
+					}
+				})
+			}
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := pool.Do(func(c *Client) error { return c.Reset(platform.DomainA72) }); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range pool.clients {
+		_ = c.conn.Close()
+		st, err := c.State(platform.DomainA72)
+		if err != nil {
+			t.Fatalf("session %d: STATE after severed connection: %v", i, err)
+		}
+		if st.ClockHz != nominal.ClockHz {
+			t.Fatalf("session %d replayed a stale clock: %v Hz after RESET, want nominal %v Hz", i, st.ClockHz, nominal.ClockHz)
+		}
+	}
+}

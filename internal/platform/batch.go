@@ -3,10 +3,12 @@ package platform
 // Batched operating-point evaluation.
 //
 // A sweep, shmoo or V_MIN campaign holds the workload fixed and walks a
-// grid of (clock, supply) operating points. Most of the per-point cost is
-// clock-invariant (the cycle-domain simulation) or supply-invariant (the
-// resampled base waveform, the PDN transfer set), so the campaign paths
-// here hoist each invariant to the widest scope it holds at:
+// grid of (clock, supply) operating points; a GA generation holds the
+// operating point fixed and walks a population of workloads. Most of the
+// per-point cost is clock-invariant (the cycle-domain simulation) or
+// supply-invariant (the resampled base waveform, the PDN transfer set), so
+// the campaign paths here hoist each invariant to the widest scope it
+// holds at:
 //
 //   - PrimeTraceAt simulates the workload once, sized for the campaign's
 //     largest clock; every point's sizing then synthesizes from the primed
@@ -111,10 +113,10 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 // (supply, powered) snapshot, drawing every transient row — including the
 // amplitude outputs — from the caller's arena. A warm spectra-memo entry
 // is still honoured (shared read-only slices), but an arena-computed
-// result is NOT installed: its rows die at the arena's next Reset, and
-// keeping a campaign's one-shot grid traffic out of the memo is what lets
-// a converged GA population's elites stay resident. Results are
-// bit-identical to SpectraAt at the same snapshot.
+// result is NOT installed: its rows die at the arena's next Reset, and a
+// batch's one-shot traffic (sweep grid points, GA individuals, whose
+// repeats the bench's measurement memo absorbs) would only churn the
+// memo. Results are bit-identical to SpectraAt at the same snapshot.
 func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
 	d := pe.d
 	key := spectraKey{load: pe.hash, powered: powered, clock: pe.clock, supply: supply, dt: pe.sim.Dt, n: pe.sim.N}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/detrand"
-	"repro/internal/dsp"
 	"repro/internal/isa"
 	"repro/internal/pdn"
 	"repro/internal/power"
-	"repro/internal/slab"
 	"repro/internal/uarch"
 )
 
@@ -60,29 +58,19 @@ func (d *Domain) Current(l Load, dt float64, n int) ([]float64, *uarch.Result, e
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.currentAt(l, dt, n, clock, supply, powered, nil)
+	return d.currentAt(l, dt, n, clock, supply, powered)
 }
 
 // currentAt is Current with the domain state passed explicitly, so
 // concurrent sweeps can evaluate many operating points without mutating
-// (or locking) the shared domain. With buf nil the returned waveform may
-// come from the power wave pool and internal callers that consume it
-// immediately hand it back via power.PutWave; a non-nil buf (a batch slab
-// row of length n) is filled and returned instead, and must not be pooled.
-func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, powered int, buf []float64) ([]float64, *uarch.Result, error) {
+// (or locking) the shared domain. The returned waveform may come from the
+// power wave pool; internal callers that consume it immediately hand it
+// back via power.PutWave.
+func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, powered int) ([]float64, *uarch.Result, error) {
 	if err := d.validateLoad(l); err != nil {
 		return nil, nil, err
 	}
-	cl := d.clusterLoad(l, clock)
-	var wave []float64
-	var res *uarch.Result
-	var err error
-	if buf != nil {
-		wave = buf
-		res, err = cl.CurrentInto(wave, dt, n)
-	} else {
-		wave, res, err = cl.Current(dt, n)
-	}
+	wave, res, err := d.clusterLoad(l, clock).Current(dt, n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,7 +103,7 @@ func (d *Domain) SteadyResponseAt(l Load, dt float64, n int, clockHz, supplyVolt
 }
 
 func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float64, powered int) (*pdn.Response, *uarch.Result, error) {
-	wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, nil)
+	wave, res, err := d.currentAt(l, dt, n, clock, supply, powered)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,19 +124,10 @@ func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float
 // (see spectraKey); the returned slices are shared and must be treated as
 // read-only.
 func (d *Domain) Spectra(l Load, dt float64, n int) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
-	return d.SpectraArena(l, dt, n, nil)
-}
-
-// SpectraArena is Spectra drawing its transient buffers (the current
-// waveform, the half spectrum and the FFT scratch) from a caller's batch
-// arena instead of the shared pools. The memoized outputs (vAmp, iAmp) are
-// still allocated normally — they outlive the arena in the spectra cache.
-// Results are bit-identical to Spectra; a nil arena is the pooled path.
-func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.spectraAt(l, dt, n, clock, supply, powered, ar)
+	return d.spectraAt(l, dt, n, clock, supply, powered)
 }
 
 // SpectraAt is Spectra at an explicit clock (the supply and powered-core
@@ -159,10 +138,10 @@ func (d *Domain) SpectraAt(l Load, dt float64, n int, clockHz float64) (freqs, v
 	d.mu.Lock()
 	supply, powered := d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.spectraAt(l, dt, n, clockHz, supply, powered, nil)
+	return d.spectraAt(l, dt, n, clockHz, supply, powered)
 }
 
-func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
+func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	key := spectraKey{load: l.Hash(), powered: powered, clock: clock, supply: supply, dt: dt, n: n}
 	d.spectraMu.Lock()
 	if el, ok := d.spectra[key]; ok {
@@ -176,11 +155,7 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 	d.spectraMisses.Add(1)
 
 	compute := func() (*spectraEntry, error) {
-		var buf []float64
-		if ar != nil {
-			buf = ar.FloatsUninit(n) // fillCurrent overwrites (or clears) all n
-		}
-		wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, buf)
+		wave, res, err := d.currentAt(l, dt, n, clock, supply, powered)
 		if err != nil {
 			return nil, err
 		}
@@ -188,18 +163,8 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 		if err != nil {
 			return nil, err
 		}
-		var freqs, vAmp, iAmp []float64
-		if ar != nil {
-			half := n/2 + 1
-			vAmp = make([]float64, half)
-			iAmp = make([]float64, half)
-			// RFFTInto writes every element of both rows before any read.
-			freqs, err = ts.SpectraInto(vAmp, iAmp, wave,
-				ar.ComplexesUninit(half), ar.ComplexesUninit(dsp.RFFTScratchLen(n)))
-		} else {
-			freqs, vAmp, iAmp, err = ts.Spectra(wave)
-			power.PutWave(wave)
-		}
+		freqs, vAmp, iAmp, err := ts.Spectra(wave)
+		power.PutWave(wave)
 		if err != nil {
 			return nil, err
 		}
@@ -207,8 +172,8 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 	}
 	// The disk tier (when installed) serves the miss from a prior process's
 	// work, collapses concurrent misses for this key onto one computation,
-	// and writes fresh results through; the closure's arena belongs to this
-	// worker only (waiters receive the encoded payload, never the closure).
+	// and writes fresh results through (waiters receive the encoded
+	// payload, never the closure).
 	ent, err := d.spectraComputeOrDisk(key, compute)
 	if err != nil {
 		return nil, nil, nil, nil, err

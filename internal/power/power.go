@@ -206,7 +206,7 @@ func (cl ClusterLoad) SteadySimTrace(dt float64, n int, tr *uarch.Trace) (Steady
 // that are done with it hand it back via PutWave.
 var wavePool sync.Pool
 
-// getWave returns a waveform buffer of length n; fillCurrent overwrites (or
+// getWave returns a waveform buffer of length n; fillFromSim overwrites (or
 // clears) every element, so recycled buffers are not re-zeroed here.
 func getWave(n int) []float64 {
 	if p, _ := wavePool.Get().(*[]float64); p != nil && cap(*p) >= n {
@@ -227,43 +227,23 @@ func PutWave(w []float64) {
 }
 
 // Current simulates the loop and returns the cluster current sampled at dt
-// over n samples, together with the micro-architectural result.
+// over n samples, together with the micro-architectural result. The
+// waveform comes from the wave pool; callers done with it may hand it back
+// via PutWave.
 func (cl ClusterLoad) Current(dt float64, n int) ([]float64, *uarch.Result, error) {
-	out := getWave(n)
-	res, err := cl.CurrentInto(out, dt, n)
-	if err != nil {
-		PutWave(out)
+	if err := cl.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return out, res, nil
-}
-
-// CurrentInto is Current writing the waveform into a caller-provided
-// buffer of length n (a batch slab row), bypassing the wave pool. dst is
-// fully overwritten, with the same arithmetic in the same order as
-// Current, so the filled row is bit-identical.
-func (cl ClusterLoad) CurrentInto(dst []float64, dt float64, n int) (*uarch.Result, error) {
-	if err := cl.Validate(); err != nil {
-		return nil, err
-	}
 	if dt <= 0 || n < 1 {
-		return nil, fmt.Errorf("power: invalid sampling dt=%v n=%d", dt, n)
+		return nil, nil, fmt.Errorf("power: invalid sampling dt=%v n=%d", dt, n)
 	}
-	if len(dst) != n {
-		return nil, fmt.Errorf("power: waveform buffer length %d, want %d", len(dst), n)
-	}
-	return cl.fillCurrent(dst, dt, n)
-}
-
-// fillCurrent simulates the loop and resamples the cluster current into out
-// (len n).
-func (cl ClusterLoad) fillCurrent(out []float64, dt float64, n int) (*uarch.Result, error) {
 	sim, err := cl.steadySim(dt, n, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	out := getWave(n)
 	cl.fillFromSim(sim, out)
-	return sim.Res, nil
+	return out, sim.Res, nil
 }
 
 // FillFromSim resamples a prepared simulation into out (len sim.N),
