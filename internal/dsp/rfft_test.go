@@ -135,7 +135,7 @@ func BenchmarkRFFT8192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RFFT(x)
+		PutSpectrum(RFFT(x))
 	}
 }
 

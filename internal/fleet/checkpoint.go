@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -18,10 +21,11 @@ import (
 // misses cleanly and re-measures.
 //
 // The journal is append-only. A torn final line (coordinator killed
-// mid-write) is detected by JSON validity and dropped; every intact line
-// stays usable. Because items are keyed by content rather than position,
-// a GA elite that survives into the next generation replays for free, and
-// two campaigns over overlapping grids share hits.
+// mid-write) is detected by JSON validity, dropped, and cut off on open so
+// the next record does not land on the fragment; every intact line stays
+// usable. Because items are keyed by content rather than position, a GA
+// elite that survives into the next generation replays for free, and two
+// campaigns over overlapping grids share hits.
 type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -43,7 +47,10 @@ type journalRecord struct {
 }
 
 // OpenCheckpoint opens (creating if needed) a campaign journal and loads
-// every intact record into the in-memory index.
+// every intact record into the in-memory index. A final line without its
+// newline (coordinator killed mid-write) is repaired before the first
+// append: an intact record gets its terminator, anything else is
+// truncated away, so the next Add starts on a fresh line.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -52,33 +59,82 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	c := &Checkpoint{f: f, done: make(map[journalKey]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(scanTerminatedLines)
+	var end int64 // bytes scanned so far
+	tail, tailOK := int64(-1), false
 	for sc.Scan() {
 		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		end += int64(len(line))
+		terminated := line[len(line)-1] == '\n'
+		ok := c.load(line)
+		if !terminated {
+			tail, tailOK = end-int64(len(line)), ok
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			c.dropped++ // torn or corrupt line: ignore, re-measure covers it
-			continue
-		}
-		var key journalKey
-		if _, err := fmt.Sscanf(rec.Campaign, "%x", &key.campaign); err != nil {
-			c.dropped++
-			continue
-		}
-		if _, err := fmt.Sscanf(rec.Item, "%x", &key.item); err != nil {
-			c.dropped++
-			continue
-		}
-		c.done[key] = append(json.RawMessage(nil), rec.Result...)
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
 	}
+	if tail >= 0 {
+		if err := repairTail(f, tail, end, tailOK); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("fleet: repair checkpoint tail: %w", err)
+		}
+	}
 	c.w = bufio.NewWriter(f)
 	return c, nil
+}
+
+// scanTerminatedLines is bufio.ScanLines keeping each line's '\n', so the
+// caller can tell a torn final line from a complete one and count bytes.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// load indexes one journal line, reporting whether it held a record. Blank
+// lines are skipped; torn or corrupt lines count as dropped (re-measuring
+// covers them). Keys must be plain hexadecimal, as Add writes them.
+func (c *Checkpoint) load(line []byte) bool {
+	if len(bytes.TrimSpace(line)) == 0 {
+		return false
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		c.dropped++
+		return false
+	}
+	campaign, err1 := strconv.ParseUint(rec.Campaign, 16, 64)
+	item, err2 := strconv.ParseUint(rec.Item, 16, 64)
+	if err1 != nil || err2 != nil {
+		c.dropped++
+		return false
+	}
+	c.done[journalKey{campaign, item}] = append(json.RawMessage(nil), rec.Result...)
+	return true
+}
+
+// repairTail fixes an unterminated final line spanning [start, end) of f:
+// an intact record is terminated in place, anything else is truncated. It
+// leaves the file offset at the new end, where appends continue.
+func repairTail(f *os.File, start, end int64, intact bool) error {
+	if intact {
+		_, err := f.WriteAt([]byte{'\n'}, end)
+		if err == nil {
+			_, err = f.Seek(end+1, io.SeekStart)
+		}
+		return err
+	}
+	if err := f.Truncate(start); err != nil {
+		return err
+	}
+	_, err := f.Seek(start, io.SeekStart)
+	return err
 }
 
 // Lookup returns the stored result for (campaign, item) if present,

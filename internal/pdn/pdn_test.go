@@ -473,3 +473,47 @@ func TestSteadyStateIntoValidation(t *testing.T) {
 		t.Fatal("short scratch accepted")
 	}
 }
+
+// TestSteadyStateIntoDieVoltageOnly: a nil idie (the V_MIN ladder's
+// die-voltage-only step) must fill vdie bit-identically to a call that also
+// inverts the inductor current, while a mis-sized non-nil idie is still
+// rejected.
+func TestSteadyStateIntoDieVoltageOnly(t *testing.T) {
+	m := newTestModel(t, 2)
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{256, 1000} {
+		ts, err := m.Transfers(n, 0.5e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := make([]float64, n)
+		for i := range load {
+			load[i] = math.Abs(rng.NormFloat64())
+		}
+		half := n/2 + 1
+		spec := make([]complex128, half)
+		prod := make([]complex128, half)
+		scratch := make([]complex128, dsp.RFFTScratchLen(n))
+		for _, supply := range []float64{1.0, 0.83} {
+			want := make([]float64, n)
+			if err := ts.SteadyStateInto(want, make([]float64, n), load, supply, spec, prod, scratch); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, n)
+			if err := ts.SteadyStateInto(got, nil, load, supply, spec, prod, scratch); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d supply=%v: VDie[%d] %v != %v", n, supply, i, got[i], want[i])
+				}
+			}
+		}
+		vdie := make([]float64, n)
+		for _, idie := range [][]float64{make([]float64, n-1), make([]float64, n+1), {}} {
+			if err := ts.SteadyStateInto(vdie, idie, load, 1.0, spec, prod, scratch); err == nil {
+				t.Fatalf("n=%d: idie of %d samples accepted", n, len(idie))
+			}
+		}
+	}
+}

@@ -177,20 +177,22 @@ func (ts *TransferSet) SteadyStateAt(load []float64, vnominal float64) (*Respons
 }
 
 // SteadyStateInto is SteadyStateAt writing the time-domain responses into
-// caller-provided rows, for batched V_MIN campaigns: vdie and idie must
-// have length N, spec and prod length N/2+1, and fftScratch at least
+// caller-provided rows, for batched V_MIN campaigns: vdie must have length
+// N, spec and prod length N/2+1, and fftScratch at least
 // dsp.RFFTScratchLen(N) entries (all batch slab rows; every element is
-// overwritten before any read). The load spectrum computes once; the
-// voltage and current responses then derive per bin from it, so one
-// product row serves both inversions in turn — each per-bin value is the
-// same arithmetic SteadyStateAt performs, so the filled responses are
+// overwritten before any read). idie is either nil — the inductor current
+// is then neither formed nor inverted, for callers that read only the die
+// voltage — or a length-N row filled with it. The load spectrum computes
+// once; the voltage and current responses then derive per bin from it, so
+// one product row serves both inversions in turn — each per-bin value is
+// the same arithmetic SteadyStateAt performs, so the filled responses are
 // bit-identical.
 func (ts *TransferSet) SteadyStateInto(vdie, idie, load []float64, vnominal float64, spec, prod, fftScratch []complex128) error {
 	n := ts.N
 	if len(load) != n {
 		return fmt.Errorf("pdn: steady-state load length %d, want %d", len(load), n)
 	}
-	if len(vdie) != n || len(idie) != n {
+	if len(vdie) != n || (idie != nil && len(idie) != n) {
 		return fmt.Errorf("pdn: steady-state destinations %d/%d samples, want %d", len(vdie), len(idie), n)
 	}
 	half := n/2 + 1
@@ -205,10 +207,12 @@ func (ts *TransferSet) SteadyStateInto(vdie, idie, load []float64, vnominal floa
 		prod[k] = spec[k] * ts.HV[k]
 	}
 	dsp.IRFFTInto(vdie, prod, n, fftScratch)
-	for k := 0; k < half; k++ {
-		prod[k] = spec[k] * ts.HI[k]
+	if idie != nil {
+		for k := 0; k < half; k++ {
+			prod[k] = spec[k] * ts.HI[k]
+		}
+		dsp.IRFFTInto(idie, prod, n, fftScratch)
 	}
-	dsp.IRFFTInto(idie, prod, n, fftScratch)
 	for i := 0; i < n; i++ {
 		vdie[i] = vnominal + vdie[i]
 	}

@@ -157,29 +157,13 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 	return freqs, vAmp, iAmp, nil
 }
 
-// SpectraAtArena is SpectraAt with the transient buffers and amplitude
-// outputs drawn from a caller's batch arena, optionally served from a
-// primed clock-invariant trace. Results are bit-identical to SpectraAt;
-// the returned slices follow the arena's lifetime rules unless they came
-// from a memo hit (either way: treat as read-only, do not retain past the
-// next Reset).
-func (d *Domain) SpectraAtArena(l Load, dt float64, n int, clockHz float64, tr *uarch.Trace, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
-	d.mu.Lock()
-	supply, powered := d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
-	pe, err := d.PreparePointAt(l, dt, n, clockHz, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pe.SpectraArena(supply, powered, ar)
-}
-
 // Ladder is the batched evaluator of one (load, clock) column of a V_MIN
 // campaign. Everything supply-invariant is frozen at construction: the
 // sized simulation, the resampled and slew-filtered base current waveform
 // (idle lift and supply scaling apply after the slew filter, exactly as in
 // the scalar path), and the PDN transfer set. Each supply step then pays
-// only the scale + FFT + inverse-FFT remainder, streamed through the
+// only the scale + FFT + die-voltage inverse-FFT remainder (the inductor
+// current is never read, so it is never inverted), streamed through the
 // owning arena's rows, and the (minV, droop) outcome is memoized per
 // supply — the response is a pure function of (load, clock, supply,
 // powered), so the repeated descents of a Repeat campaign and the shared
@@ -191,16 +175,11 @@ func (d *Domain) SpectraAtArena(l Load, dt float64, n int, clockHz float64, tr *
 // next Reset.
 type Ladder struct {
 	d       *Domain
-	clock   float64
-	powered int
 	idle    float64
-	dt      float64
-	n       int
 	ts      *pdn.TransferSet
 	base    []float64 // post-slew cluster current, before idle lift / supply scale
 	wave    []float64
 	vdie    []float64
-	idie    []float64
 	spec    []complex128
 	prod    []complex128
 	scratch []complex128
@@ -238,16 +217,11 @@ func (d *Domain) LadderAt(l Load, dt float64, n int, clockHz float64, tr *uarch.
 	half := n/2 + 1
 	return &Ladder{
 		d:       d,
-		clock:   clockHz,
-		powered: powered,
 		idle:    power.IdleCurrent(d.Spec.Core, clockHz) * float64(powered-l.ActiveCores),
-		dt:      dt,
-		n:       n,
 		ts:      ts,
 		base:    base,
 		wave:    ar.FloatsUninit(n),
 		vdie:    ar.FloatsUninit(n),
-		idie:    ar.FloatsUninit(n),
 		spec:    ar.ComplexesUninit(half),
 		prod:    ar.ComplexesUninit(half),
 		scratch: ar.ComplexesUninit(dsp.RFFTScratchLen(n)),
@@ -271,12 +245,22 @@ func (ld *Ladder) MinVDroop(supply float64) (minV, droopV float64, err error) {
 	for i, v := range ld.base {
 		ld.wave[i] = (v + ld.idle) * scale
 	}
-	if err := ld.ts.SteadyStateInto(ld.vdie, ld.idie, ld.wave, supply, ld.spec, ld.prod, ld.scratch); err != nil {
+	if err := ld.ts.SteadyStateInto(ld.vdie, nil, ld.wave, supply, ld.spec, ld.prod, ld.scratch); err != nil {
 		return 0, 0, err
 	}
-	resp := pdn.Response{Dt: ld.dt, VDie: ld.vdie, IDie: ld.idie}
-	minV = resp.MinVoltage()
-	droopV = resp.MaxDroop(supply)
+	// One pass reads both extremes with the comparisons of dsp.MinMax
+	// (seeded with sample 0, strict <) and Response.MaxDroop (floored at
+	// 0, strict >), so the values match MinVoltage/MaxDroop bit for bit,
+	// NaN samples included.
+	minV = ld.vdie[0]
+	for _, v := range ld.vdie {
+		if v < minV {
+			minV = v
+		}
+		if d := supply - v; d > droopV {
+			droopV = d
+		}
+	}
 	ld.memo[supply] = ladderPoint{minV: minV, droop: droopV}
 	return minV, droopV, nil
 }

@@ -22,9 +22,11 @@ func requireSameFloats(t *testing.T, label string, got, want []float64) {
 }
 
 // TestSpectraAtArenaMatchesSpectraAt pins the batched sweep's evaluation
-// path: an arena-backed spectra computation served from a campaign-primed
-// trace must be bit-identical to the scalar memoized path at every clock,
-// and the memo must still serve warm entries to the arena path.
+// path: an arena-backed spectra computation (PreparePointAt +
+// PointEval.SpectraArena at the domain's current snapshot) served from a
+// campaign-primed trace must be bit-identical to the scalar memoized path
+// at every clock, and the memo must still serve warm entries to the arena
+// path.
 func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	l := Load{Seq: probeLoop(t, d.Spec.Pool()), ActiveCores: 2}
@@ -42,12 +44,21 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 		t.Fatal("priming failed for a valid campaign")
 	}
 
+	supply, powered := d.SupplyVolts(), d.PoweredCores()
+	arenaSpectra := func(clock float64, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
+		pe, err := d.PreparePointAt(l, dt, n, clock, tr)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return pe.SpectraArena(supply, powered, ar)
+	}
+
 	var ar slab.Arena
 	for _, clock := range clocks {
 		ar.Reset()
 		// Arena path first: the fresh domain's memo has no entry, so this
 		// exercises the computing branch (which must NOT install).
-		gotF, gotV, gotI, err := d.SpectraAtArena(l, dt, n, clock, tr, &ar)
+		gotF, gotV, gotI, err := arenaSpectra(clock, &ar)
 		if err != nil {
 			t.Fatalf("clock %v: arena spectra: %v", clock, err)
 		}
@@ -64,7 +75,7 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 	// now serve them as hits.
 	hits0, _, _ := d.SpectraCacheStats()
 	ar.Reset()
-	if _, _, _, err := d.SpectraAtArena(l, dt, n, clocks[0], tr, &ar); err != nil {
+	if _, _, _, err := arenaSpectra(clocks[0], &ar); err != nil {
 		t.Fatal(err)
 	}
 	if hits1, _, _ := d.SpectraCacheStats(); hits1 != hits0+1 {
@@ -204,5 +215,32 @@ func TestPrimeTraceAtDegenerateInputs(t *testing.T) {
 	var nilTrace *uarch.Trace
 	if nilTrace.Covers(10) {
 		t.Fatal("nil trace claims coverage")
+	}
+}
+
+// BenchmarkLadderMinVDroop times one V_MIN ladder step — supply rescale,
+// PDN steady state and the (minV, droop) read — on the campaign's default
+// 8192 × 0.25 ns grid (A72, two active cores). The per-supply memo is
+// cleared every iteration so each op pays the full step.
+func BenchmarkLadderMinVDroop(b *testing.B) {
+	d := domain(b, juno(b), DomainA72)
+	l := Load{Seq: probeLoop(b, d.Spec.Pool()), ActiveCores: 2}
+	clock, err := d.SnapClock(1.2e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ar slab.Arena
+	ld, err := d.LadderAt(l, 0.25e-9, 8192, clock, nil, &ar)
+	if err != nil {
+		b.Fatal(err)
+	}
+	supply := d.Spec.PDN.VNominal - 0.05
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(ld.memo)
+		if _, _, err := ld.MinVDroop(supply); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-func juno(t *testing.T) *Platform {
+func juno(t testing.TB) *Platform {
 	t.Helper()
 	p, err := JunoR2()
 	if err != nil {
@@ -28,7 +28,7 @@ func amd(t *testing.T) *Platform {
 	return p
 }
 
-func domain(t *testing.T, p *Platform, name string) *Domain {
+func domain(t testing.TB, p *Platform, name string) *Domain {
 	t.Helper()
 	d, err := p.Domain(name)
 	if err != nil {
@@ -39,7 +39,7 @@ func domain(t *testing.T, p *Platform, name string) *Domain {
 
 // probeLoop is the Section 5.3 two-phase loop: a burst of adds then a
 // divide.
-func probeLoop(t *testing.T, pool *isa.Pool) []isa.Inst {
+func probeLoop(t testing.TB, pool *isa.Pool) []isa.Inst {
 	t.Helper()
 	add, ok := pool.DefByMnemonic("add")
 	if !ok {

@@ -261,44 +261,112 @@ func (cl ClusterLoad) FillFromSim(sim SteadySim, out []float64) error {
 	return nil
 }
 
-// fillFromSim resamples the simulated charge trace into out. The aligned
-// path overwrites every element; the phased path accumulates, so it clears
-// first.
+// fillFromSim resamples the simulated charge trace into out and low-passes
+// it with the core's current-ramp time constant, in one pass: the filter is
+// warmed over the last k raw samples of the periodic window (see
+// slewWarmup), each recomputed from the trace rather than stored, and
+// every sample is then resampled and filtered in the same iteration, so
+// the independent resample work overlaps the filter's serial add–mul–add
+// chain.
 func (cl ClusterLoad) fillFromSim(sim SteadySim, out []float64) {
-	dt, n, scale := sim.Dt, sim.N, sim.scale
 	steady := sim.Res.SteadyCharge()
+	r := resampler{steady: steady, last: len(steady) - 1, dt: sim.Dt, scale: sim.scale, clock: cl.ClockHz}
+	n := len(out)
+	alpha, k := slewWarmup(n, sim.Dt, cl.Core.CurrentSlewTau)
+	acc := 0.0
 	if len(cl.PhaseCycles) == 0 {
-		// All cores aligned: every core samples the same trace index, so
-		// resample once and add the per-core value ActiveCores times (the
-		// repeated add reproduces the per-core accumulation bit-for-bit).
-		for i := 0; i < n; i++ {
-			cyc := float64(i) * dt * scale * cl.ClockHz
-			idx := int(cyc)
-			if idx >= len(steady) {
-				idx = len(steady) - 1
+		cores := cl.ActiveCores
+		if k > 0 {
+			acc = r.aligned(n-k, cores)
+			for j := n - k; j < n; j++ {
+				acc += alpha * (r.aligned(j, cores) - acc)
 			}
-			v := steady[idx] * cl.ClockHz
-			acc := 0.0
-			for core := 0; core < cl.ActiveCores; core++ {
-				acc += v
-			}
-			out[i] = acc
 		}
-	} else {
-		clear(out)
-		for core := 0; core < cl.ActiveCores; core++ {
-			phase := cl.PhaseCycles[core]
-			for i := 0; i < n; i++ {
-				cyc := float64(i)*dt*scale*cl.ClockHz + phase
-				idx := int(cyc)
-				if idx >= len(steady) {
-					idx = len(steady) - 1
-				}
-				out[i] += steady[idx] * cl.ClockHz
+		for i := range out {
+			v := r.aligned(i, cores)
+			if k > 0 {
+				acc += alpha * (v - acc)
+				v = acc
 			}
+			out[i] = v
+		}
+		return
+	}
+	phases := cl.PhaseCycles
+	if k > 0 {
+		acc = r.phased(n-k, phases)
+		for j := n - k; j < n; j++ {
+			acc += alpha * (r.phased(j, phases) - acc)
 		}
 	}
-	applySlew(out, dt, cl.Core.CurrentSlewTau)
+	for i := range out {
+		v := r.phased(i, phases)
+		if k > 0 {
+			acc += alpha * (v - acc)
+			v = acc
+		}
+		out[i] = v
+	}
+}
+
+// slewWarmup returns the slew filter's coefficient and the number of
+// trailing samples of an n-sample periodic window it is warmed over (0:
+// no filter, tau <= 0). The arbitrary warm-up start decays by
+// exp(-dt/tau) per sample, so 45 time constants bury it far below
+// double-precision rounding and the state entering sample 0 is the
+// converged end-of-period state; longer time constants warm over the
+// whole window.
+func slewWarmup(n int, dt, tau float64) (alpha float64, k int) {
+	if tau <= 0 || n == 0 {
+		return 0, 0
+	}
+	k = n
+	if need := 45 * tau / dt; need < float64(k) {
+		k = int(need) + 1
+	}
+	return 1 - math.Exp(-dt/tau), k
+}
+
+// resampler maps sample indices onto the steady charge trace as currents:
+// one core's sample i reads the cycle under time i·dt on the
+// period-snapped time base, plus the core's phase offset, clamped to the
+// last simulated cycle.
+type resampler struct {
+	steady    []float64
+	last      int
+	dt, scale float64
+	clock     float64
+}
+
+// aligned is raw sample i of cores aligned cores: every core reads the
+// same trace index, so the value is resampled once and added cores times
+// from 0, which reproduces the per-core accumulation bit for bit.
+func (r *resampler) aligned(i, cores int) float64 {
+	idx := int(float64(i) * r.dt * r.scale * r.clock)
+	if idx > r.last {
+		idx = r.last
+	}
+	v := r.steady[idx] * r.clock
+	acc := 0.0
+	for core := 0; core < cores; core++ {
+		acc += v
+	}
+	return acc
+}
+
+// phased is raw sample i of staggered cores: the per-core values summed
+// in core order from 0.
+func (r *resampler) phased(i int, phases []float64) float64 {
+	cyc := float64(i) * r.dt * r.scale * r.clock
+	acc := 0.0
+	for _, phase := range phases {
+		idx := int(cyc + phase)
+		if idx > r.last {
+			idx = r.last
+		}
+		acc += r.steady[idx] * r.clock
+	}
+	return acc
 }
 
 // LoopHz returns the loop fundamental frequency a Current call with the
@@ -318,33 +386,6 @@ func (cl ClusterLoad) LoopHz(dt float64, n int) (float64, *uarch.Result, error) 
 		return 0, nil, err
 	}
 	return LoopFrequency(sim.Res, cl.ClockHz), sim.Res, nil
-}
-
-// applySlew low-passes a (periodic) current waveform in place with the
-// core's current-ramp time constant. The filter is warmed by one silent
-// pass over the buffer so the periodic waveform has no startup transient.
-func applySlew(wave []float64, dt, tau float64) {
-	if tau <= 0 || len(wave) == 0 {
-		return
-	}
-	alpha := 1 - math.Exp(-dt/tau)
-	// Warm the filter over the tail of the periodic buffer: the arbitrary
-	// starting state decays by exp(-dt/tau) per sample, so 45 time
-	// constants bury it far below double-precision rounding and the state
-	// entering sample 0 is the converged end-of-period state. Longer time
-	// constants warm over the whole buffer, as before.
-	k := len(wave)
-	if need := 45 * tau / dt; need < float64(k) {
-		k = int(need) + 1
-	}
-	acc := wave[len(wave)-k]
-	for _, v := range wave[len(wave)-k:] {
-		acc += alpha * (v - acc)
-	}
-	for i, v := range wave {
-		acc += alpha * (v - acc)
-		wave[i] = acc
-	}
 }
 
 // IdleCurrent returns the current drawn by one powered-but-idle core at the

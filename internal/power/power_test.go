@@ -10,7 +10,7 @@ import (
 	"repro/internal/uarch"
 )
 
-func testSeq(t *testing.T) []isa.Inst {
+func testSeq(t testing.TB) []isa.Inst {
 	t.Helper()
 	p := isa.ARM64Pool()
 	add, _ := p.DefByMnemonic("add")
